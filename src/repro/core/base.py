@@ -8,19 +8,19 @@ sampling-based (MinHash, KMV, Weighted MinHash) — fits one contract:
   with identical configuration (same seed / sample count);
 * ``sketch_batch(matrix)`` — compress every row of a matrix into a
   columnar :class:`~repro.core.bank.SketchBank`;
-* ``estimate_many(query, bank)`` — approximate the inner product of one
-  query vector against every bank row, returning an array;
 * ``estimate_cross(query_bank, bank)`` — approximate every pairwise
   inner product between two banks, returning a ``(Q, N)`` matrix (the
-  multi-query serving primitive: a batch of analyst queries traverses
-  the stored bank once instead of once per query).
+  bank kernel: a batch of analyst queries traverses the stored bank
+  once instead of once per query);
+* ``estimate_many(query, bank)`` — one query against every bank row,
+  the ``Q = 1`` row of ``estimate_cross``.
 
 The batch half of the contract has a correct-but-generic default that
 wraps the scalar path (an object-dtype bank plus a Python loop), so
 every sketcher is batch-capable out of the box; the methods on the
-paper's critical path (WMH, MinHash, KMV, JL, CountSketch) override it
-with truly vectorized implementations that produce bit-identical
-results.
+paper's critical path (WMH, MinHash, KMV, JL, CountSketch) override
+``estimate_cross`` with truly vectorized kernels that produce
+bit-identical results.
 
 The contract also carries the paper's *storage accounting*
 (Section 5, "Storage Size"): experiments compare methods at equal
@@ -119,38 +119,28 @@ class Sketcher(abc.ABC):
     def estimate_many(self, query_sketch: Any, bank: SketchBank) -> np.ndarray:
         """Estimate ``<query, row_i>`` for every bank row.
 
-        Returns a float64 array of length ``len(bank)``.  The default
-        loops the scalar estimator; vectorized sketchers score the
-        whole bank in a handful of array operations.
+        Returns a float64 array of length ``len(bank)``: the one-query
+        case of :meth:`estimate_cross`, so every sketcher has exactly
+        one bank kernel.
         """
-        self._check_bank(bank)
-        return np.array(
-            [
-                self.estimate(query_sketch, self.bank_row(bank, i))
-                for i in range(len(bank))
-            ],
-            dtype=np.float64,
-        )
+        return self.estimate_cross(self.pack_bank([query_sketch]), bank)[0]
 
     def estimate_cross(self, query_bank: SketchBank, bank: SketchBank) -> np.ndarray:
         """Estimate ``<query_i, row_j>`` for every query/row pair.
 
-        Returns a float64 array of shape ``(len(query_bank), len(bank))``
-        whose row ``i`` equals ``estimate_many(query_i, bank)`` exactly.
-        The default loops :meth:`estimate_many` over the query rows;
+        Returns a float64 array of shape ``(len(query_bank), len(bank))``.
+        The default loops the scalar :meth:`estimate` over every pair;
         vectorized sketchers override it to traverse ``bank`` once for
         the whole query batch.
         """
         self._check_bank(query_bank)
         self._check_bank(bank)
-        if len(query_bank) == 0:
-            return np.zeros((0, len(bank)))
-        return np.stack(
-            [
-                self.estimate_many(self.bank_row(query_bank, i), bank)
-                for i in range(len(query_bank))
-            ]
-        )
+        rows = self.bank_to_sketches(bank)
+        out = np.zeros((len(query_bank), len(bank)))
+        for i in range(len(query_bank)):
+            query = self.bank_row(query_bank, i)
+            out[i] = [self.estimate(query, row) for row in rows]
+        return out
 
     # ------------------------------------------------------------------
     # signature keys (LSH candidate generation; sampling methods only)
@@ -246,16 +236,18 @@ class Sketcher(abc.ABC):
         return None
 
     def _check_bank(self, bank: SketchBank) -> None:
-        self._require(
-            bank.kind == self.name,
-            f"bank holds {bank.kind!r} sketches, sketcher is {self.name!r}",
-        )
+        # Messages are formatted only on failure: every estimate call
+        # runs this check.
+        if bank.kind != self.name:
+            raise SketchMismatchError(
+                f"bank holds {bank.kind!r} sketches, sketcher is {self.name!r}"
+            )
         expected = self._bank_params()
-        self._require(
-            dict(bank.params) == expected,
-            f"bank parameters {dict(bank.params)} do not match "
-            f"sketcher parameters {expected}",
-        )
+        if bank.params != expected:
+            raise SketchMismatchError(
+                f"bank parameters {dict(bank.params)} do not match "
+                f"sketcher parameters {expected}"
+            )
 
     @staticmethod
     def _require(condition: bool, message: str) -> None:

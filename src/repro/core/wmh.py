@@ -88,10 +88,10 @@ _BATCH_CELL_TARGET = 500_000
 #: monolithic pass.
 _SIM_CELL_TARGET = 200_000
 
-#: Cell cap for the estimation kernels: ``estimate_many`` and
-#: ``estimate_cross`` bound every temporary to about this many float64
-#: elements (a few MB), so scoring a query batch against a lake never
-#: materializes ``(rows, m)``-shaped intermediates.
+#: Cell cap for the estimation kernel: ``estimate_cross`` bounds every
+#: temporary to about this many float64 elements (a few MB), so scoring
+#: a query batch against a lake never materializes ``(rows, m)``-shaped
+#: intermediates.
 _ESTIMATE_CELL_TARGET = 500_000
 
 #: Default discretization parameter.  The paper wants ``L`` at least
@@ -641,18 +641,16 @@ class WeightedMinHash(Sketcher):
     def pack_bank(self, sketches: Sequence[WMHSketch]) -> SketchBank:
         for sketch in sketches:
             self._check_query(sketch)
-        count = len(sketches)
+        # np.array over the row list (not np.stack): a fraction of the
+        # per-call cost, which matters when serving one query.
+        shape = (len(sketches), self.m)
         return SketchBank(
             kind=self.name,
             params=self._bank_params(),
             columns={
-                "hashes": np.stack([s.hashes for s in sketches])
-                if count
-                else np.empty((0, self.m)),
-                "values": np.stack([s.values for s in sketches])
-                if count
-                else np.empty((0, self.m)),
-                "norms": np.array([s.norm for s in sketches], dtype=np.float64),
+                "hashes": np.array([s.hashes for s in sketches], np.float64).reshape(shape),
+                "values": np.array([s.values for s in sketches], np.float64).reshape(shape),
+                "norms": np.array([s.norm for s in sketches], np.float64),
             },
             words_per_sketch=self.storage_words(),
         )
@@ -849,113 +847,82 @@ class WeightedMinHash(Sketcher):
         query_values: np.ndarray,
         bank_hashes: np.ndarray,
         bank_values: np.ndarray,
-        bank_values_sq: np.ndarray | None = None,
+        minima: np.ndarray,
+        terms: np.ndarray,
     ) -> np.ndarray:
-        """Algorithm 5 for one ``(..., m)``-aligned block, fused.
+        """Algorithm 5 of one query against a ``(rows, m)`` bank block.
 
-        ``query_*`` and ``bank_*`` must broadcast against each other on
-        the leading axes; the result drops the trailing ``m`` axis and
-        omits the norm product (applied by the callers).  Min-sum,
-        match detection, and the importance-weighted term sum run over
-        one block so the callers can bound every temporary by chunking.
-        ``bank_values_sq`` lets :meth:`estimate_cross` hoist the
-        query-independent ``bank_values**2`` out of its per-query loop.
+        Returns the per-row estimate without the norm product (applied
+        by the caller).  ``minima`` and ``terms`` are caller-owned
+        work blocks of the bank block's shape; ``terms`` must be all
+        zero and is left all zero.  The importance-weighted terms are
+        non-zero only on matched repetitions, so they are computed at
+        the matches alone and scattered into ``terms``; the block then
+        sums exactly like the scalar estimator's full-width ``terms``
+        array, so every value is bit-identical to it.  Matches are
+        sparse in lake banks (a query shares hashes only with tables
+        that join it), which is what makes the gather/scatter cheaper
+        than full-width arithmetic.
         """
-        mins = np.minimum(query_hashes, bank_hashes)
-        totals = mins.sum(axis=-1)
+        totals = np.minimum(query_hashes, bank_hashes, out=minima).sum(axis=-1)
         m_tilde = (self.m / totals - 1.0) / self.L
-        matches = query_hashes == bank_hashes
-        if bank_values_sq is None:
-            bank_values_sq = np.square(bank_values)
-        q = np.minimum(np.square(query_values), bank_values_sq)
-        products = query_values * bank_values
-        terms = np.where(matches & (q > 0.0), products / np.where(q > 0.0, q, 1.0), 0.0)
-        return (m_tilde / self.m) * terms.sum(axis=-1)
-
-    def estimate_many(self, query_sketch: WMHSketch, bank: SketchBank) -> np.ndarray:
-        """Algorithm 5 against every bank row in one fused chunked pass.
-
-        Temporaries are bounded to ``(chunk, m)`` blocks of roughly
-        :data:`_ESTIMATE_CELL_TARGET` elements — the full-lake
-        ``(rows, m)`` intermediates of the naive formulation never
-        materialize — and every per-row value is bit-identical to the
-        unchunked arithmetic (each row's estimate depends only on that
-        row).
-        """
-        self._check_bank(bank)
-        self._check_query(query_sketch)
-        count = len(bank)
-        out = np.zeros(count)
-        if count == 0 or query_sketch.norm == 0.0:
-            return out
-        norms = bank.columns["norms"]
-        bank_hashes = bank.columns["hashes"]
-        bank_values = bank.columns["values"]
-        query_hashes = query_sketch.hashes[None, :]
-        query_values = query_sketch.values[None, :]
-        chunk = max(1, _ESTIMATE_CELL_TARGET // max(self.m, 1))
-        for lo in range(0, count, chunk):
-            hi = min(lo + chunk, count)
-            scaled = self._estimate_block(
-                query_hashes,
-                query_values,
-                bank_hashes[lo:hi],
-                bank_values[lo:hi],
-            )
-            block = (query_sketch.norm * norms[lo:hi]) * scaled
-            # The zero vector's sentinel rows (norm 0, hashes +inf) go
-            # through the arithmetic too; pin them to exact +0.0.
-            block[norms[lo:hi] == 0.0] = 0.0
-            out[lo:hi] = block
-        return out
+        matched = np.flatnonzero(query_hashes == bank_hashes)
+        ours = query_values[matched % self.m]
+        theirs = bank_values.reshape(-1)[matched]
+        q = np.minimum(np.square(ours), np.square(theirs))
+        positive = q > 0.0
+        flat_terms = terms.reshape(-1)
+        flat_terms[matched[positive]] = ours[positive] * theirs[positive] / q[positive]
+        estimates = (m_tilde / self.m) * terms.sum(axis=-1)
+        flat_terms[matched] = 0.0
+        return estimates
 
     def estimate_cross(self, query_bank: SketchBank, bank: SketchBank) -> np.ndarray:
         """Algorithm 5 for every query/row pair, one bank traversal.
 
-        Row ``i`` of the result is bit-identical to
-        ``estimate_many(bank_row(query_bank, i), bank)``.  The loop
-        nest is bank-chunk-outer / query-inner: each bounded
-        ``(row_chunk, m)`` slice of the bank columns is loaded once and
-        stays cache-resident while the *whole* query batch scores
-        against it, so the bank streams through memory once per batch
-        instead of once per query — and the inner arithmetic is the
-        exact 2-D kernel of :meth:`estimate_many`.
+        Row ``i`` is bit-identical to the scalar estimator of query
+        ``i`` against each row.  The loop nest is bank-chunk-outer /
+        query-inner: each bounded ``(row_chunk, m)`` slice of the bank
+        (about :data:`_ESTIMATE_CELL_TARGET` elements) stays
+        cache-resident while the *whole* query batch scores against
+        it, so the bank streams through memory once per batch and the
+        full-lake ``(rows, m)`` intermediates never materialize.  The
+        two block-sized temporaries are allocated once per call and
+        reused by every query and chunk (the terms block is re-zeroed
+        at its matched cells only), so a batch pays for them once.
         """
         self._check_bank(query_bank)
         self._check_bank(bank)
-        num_queries = len(query_bank)
-        count = len(bank)
-        out = np.zeros((num_queries, count))
-        if num_queries == 0 or count == 0:
-            return out
         q_hashes = query_bank.columns["hashes"]
         q_values = query_bank.columns["values"]
         q_norms = query_bank.columns["norms"]
         bank_hashes = bank.columns["hashes"]
         bank_values = bank.columns["values"]
         norms = bank.columns["norms"]
+        count = len(bank)
+        out = np.zeros((len(query_bank), count))
+        # Zero-norm sketches on either side (the zero vector's +inf
+        # sentinel rows) estimate exactly +0.0, as the scalar path does.
+        live = np.flatnonzero(q_norms != 0.0).tolist()
         row_chunk = max(1, _ESTIMATE_CELL_TARGET // max(self.m, 1))
+        block_rows = min(row_chunk, count) if live else 0
+        minima = np.empty((block_rows, self.m))
+        terms = np.zeros((block_rows, self.m))
         for lo in range(0, count, row_chunk):
             hi = min(lo + row_chunk, count)
             block_hashes = bank_hashes[lo:hi]
             block_values = bank_values[lo:hi]
-            block_values_sq = np.square(block_values)
             block_norms = norms[lo:hi]
             block_zero = block_norms == 0.0
-            for qi in range(num_queries):
-                scaled = self._estimate_block(
-                    q_hashes[qi][None, :],
-                    q_values[qi][None, :],
+            for qi in live:
+                row = (q_norms[qi] * block_norms) * self._estimate_block(
+                    q_hashes[qi],
+                    q_values[qi],
                     block_hashes,
                     block_values,
-                    block_values_sq,
+                    minima[: hi - lo],
+                    terms[: hi - lo],
                 )
-                row = (q_norms[qi] * block_norms) * scaled
-                # The zero vector's sentinel bank rows go through the
-                # arithmetic too; pin them to exact +0.0 (as
-                # estimate_many does).
                 row[block_zero] = 0.0
                 out[qi, lo:hi] = row
-        # estimate_many short-circuits zero-norm queries to all zeros.
-        out[q_norms == 0.0, :] = 0.0
         return out

@@ -12,7 +12,7 @@ and score it against the stored sketches — never materializing a join.
   pair, aligned with :meth:`SketchIndex.value_owners`.
 
 That layout is what lets :mod:`repro.datasearch.search` rank the whole
-lake with one ``estimate_many`` call per query statistic instead of a
+lake with one ``estimate_cross`` call per query statistic instead of a
 Python loop over per-table sketch objects.  The per-table
 :class:`~repro.datasearch.join_estimates.JoinSketch` view is still
 available (:meth:`get`, iteration) for pairwise estimation.

@@ -10,21 +10,23 @@ example (taxi ridership vs weather):
    relationship (post-join correlation or inner product) between the
    query column and every candidate column, and rank by magnitude.
 
-Everything runs on sketches and the index's columnar banks, and the
-query-serving fast path makes two structural promises:
+Everything runs on sketches and the index's columnar banks, through
+**one** pipeline, :meth:`DatasetSearch.search_many`; :meth:`~DatasetSearch.search`
+is its one-query case.  The pipeline makes two structural promises:
 
 * **candidate pruning** — only the joinability filter touches the whole
-  lake (one ``estimate_many`` over the indicator bank).  The five
-  relevance statistics of Figure 2 are then estimated on *joinable rows
-  only*, selected out of the banks with one gather, so per-column work
-  scales with the candidate set, not the lake.  Because every bank
-  row's estimate depends only on that row, pruned rankings are
-  bit-identical to scoring the full lake (``prune=False`` keeps the
-  full-lake path around for verification and benchmarking);
-* **multi-query batching** — :meth:`DatasetSearch.search_many` serves a
-  batch of analyst queries with one ``estimate_cross`` call per
-  statistic, traversing the banks once for the whole batch instead of
-  once per query, with results identical to looping :meth:`search`.
+  lake (one ``estimate_cross`` over the indicator bank, or over an LSH
+  shortlist of it).  The five relevance statistics of Figure 2 are then
+  estimated on *joinable rows only*, selected out of the banks with one
+  gather, so per-column work scales with the candidate set, not the
+  lake.  Because every bank row's estimate depends only on that row,
+  the rankings are bit-identical to scoring the full lake (the test
+  suite keeps that full-lake scorer as its oracle);
+* **multi-query batching** — a batch of analyst queries is answered
+  with one ``estimate_cross`` call per statistic over the union of the
+  queries' candidate rows, so the banks are traversed once per batch
+  instead of once per query, and each query's hits are identical to
+  running it alone.
 
 No join is ever materialized.
 """
@@ -38,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.core.bank import SketchBank
 from repro.datasearch.index import SketchIndex
 from repro.datasearch.join_estimates import JoinSketch
 from repro.datasearch.lshindex import DEFAULT_TARGET_RECALL
@@ -75,16 +78,12 @@ class DatasetSearch:
         self,
         index: SketchIndex,
         min_containment: float = 0.05,
-        prune: bool = True,
         candidates: str = "scan",
         lsh_target_recall: float = DEFAULT_TARGET_RECALL,
     ) -> None:
         """``min_containment``: minimum estimated fraction of query keys
         that must appear in a candidate table for it to be considered
-        joinable.  ``prune``: restrict the relevance statistics to
-        joinable rows (the serving fast path); ``False`` scores the full
-        lake per statistic — same results, more work — and exists for
-        verification and benchmarking.  ``candidates`` picks the
+        joinable.  ``candidates`` picks the
         joinability candidate generator: ``"scan"`` estimates against
         every indicator row (exact, O(lake)), ``"lsh"`` shortlists rows
         via the banded signature index (sublinear; the exact filter
@@ -101,7 +100,6 @@ class DatasetSearch:
         self._check_candidates(candidates)
         self.index = index
         self.min_containment = min_containment
-        self.prune = bool(prune)
         self.candidates = candidates
         self.lsh_target_recall = lsh_target_recall
 
@@ -147,33 +145,37 @@ class DatasetSearch:
         )
 
     def _join_sizes(
-        self, query: JoinSketch, shortlist: np.ndarray | None = None
-    ) -> tuple[list[str], np.ndarray]:
-        """Estimated join size per indexed table.
+        self, indicator_queries: SketchBank, shortlists: list[np.ndarray] | None
+    ) -> np.ndarray:
+        """Estimated join size of every query with every indexed table.
 
-        With a ``shortlist`` (LSH candidate rows), only those indicator
-        rows are estimated — sizes of non-candidates stay 0 and are
-        masked out of the joinable set by the caller.  Estimates on the
-        shortlisted rows are bit-identical to the full scan because
-        every bank row's estimate depends only on that row.
+        Returns a ``(Q, tables)`` array from one ``estimate_cross`` pass
+        over the indicator bank.  With LSH ``shortlists`` only the union
+        of the per-query candidate rows is estimated and each query's
+        rows are scattered back; sizes of a query's non-candidates stay
+        0 and are masked out of its joinable set by
+        :meth:`_joinable_order`.  Shortlisted estimates are bit-identical
+        to the full scan because every bank row's estimate depends only
+        on that row.
         """
-        names = self.index.table_names()
-        if not names:
-            return [], np.zeros(0)
-        if shortlist is None:
-            sizes = self.index.sketcher.estimate_many(
-                query.indicator, self.index.indicator_bank
+        sketcher = self.index.sketcher
+        if shortlists is None:
+            return np.maximum(
+                sketcher.estimate_cross(indicator_queries, self.index.indicator_bank),
+                0.0,
             )
-            return names, np.maximum(sizes, 0.0)
-        sizes = np.zeros(len(names))
-        if shortlist.size:
-            sizes[shortlist] = np.maximum(
-                self.index.sketcher.estimate_many(
-                    query.indicator, self.index.indicator_bank[shortlist]
+        sizes = np.zeros((len(indicator_queries), len(self.index)))
+        union = np.unique(np.concatenate(shortlists))
+        if union.size:
+            cross = np.maximum(
+                sketcher.estimate_cross(
+                    indicator_queries, self.index.indicator_bank[union]
                 ),
                 0.0,
             )
-        return names, sizes
+            for qi, rows in enumerate(shortlists):
+                sizes[qi, rows] = cross[qi, np.searchsorted(union, rows)]
+        return sizes
 
     def _joinable_order(
         self,
@@ -202,41 +204,6 @@ class DatasetSearch:
         order = keep[np.argsort(-containments[keep], kind="stable")]
         return order, containments
 
-    def _filter_joinable(
-        self,
-        names: list[str],
-        sizes: np.ndarray,
-        num_rows: int,
-        shortlist: np.ndarray | None = None,
-    ) -> list[tuple[str, float, float]]:
-        order, containments = self._joinable_order(sizes, num_rows, shortlist)
-        return [
-            (names[i], float(sizes[i]), float(containments[i]))
-            for i in order.tolist()
-        ]
-
-    def search_table(
-        self,
-        table: Table,
-        query_column: str,
-        top_k: int = 10,
-        by: str = "correlation",
-        candidates: str | None = None,
-    ) -> list[SearchHit]:
-        """:meth:`search` for a raw table: sketch, then rank.
-
-        One-shot convenience for serving layers (``repro.store``'s
-        :class:`~repro.store.session.QuerySession`, the CLI) that hold
-        tables rather than pre-built :class:`JoinSketch` objects.
-        """
-        return self.search(
-            self.sketch_query(table),
-            query_column,
-            top_k=top_k,
-            by=by,
-            candidates=candidates,
-        )
-
     def joinable(
         self, query: JoinSketch, candidates: str | None = None
     ) -> list[tuple[str, float, float]]:
@@ -248,12 +215,20 @@ class DatasetSearch:
         the engine's candidate generator for this call.
         """
         mode = self._resolve_candidates(candidates)
-        if not self.index.table_names():
+        names = self.index.table_names()
+        if not names:
             return []
         shortlists = self._shortlists([query], mode)
-        shortlist = None if shortlists is None else shortlists[0]
-        names, sizes = self._join_sizes(query, shortlist)
-        return self._filter_joinable(names, sizes, query.num_rows, shortlist)
+        sizes = self._join_sizes(
+            self.index.sketcher.pack_bank([query.indicator]), shortlists
+        )[0]
+        order, containments = self._joinable_order(
+            sizes, query.num_rows, None if shortlists is None else shortlists[0]
+        )
+        return [
+            (names[i], float(sizes[i]), float(containments[i]))
+            for i in order.tolist()
+        ]
 
     @staticmethod
     def _check_criterion(by: str) -> None:
@@ -297,171 +272,11 @@ class DatasetSearch:
         ``by`` selects the relevance score: ``"correlation"`` (absolute
         estimated post-join Pearson correlation, the Santos et al.
         query) or ``"inner_product"`` (absolute estimated post-join
-        inner product).
-
-        With ``candidates="scan"`` the joinability pass (join size per
-        table) is the only full-lake ``estimate_many`` call;
-        ``candidates="lsh"`` replaces even that with a banded-signature
-        shortlist, so the whole query scales with the candidate set.
-        Either way the remaining five Figure 2 statistics — left/right
-        sums, left/right second moments, and the cross inner product —
-        are estimated against the joinable rows only.
+        inner product).  The one-query case of :meth:`search_many`.
         """
-        self._check_criterion(by)
-        self._check_query_column(query, query_column)
-        mode = self._resolve_candidates(candidates)
-        # Per-table joinability (against the indicator bank); the same
-        # join-size pass feeds both the joinability filter and the
-        # correlation formula.
-        if not self.index.table_names():
-            return []
-        # Per-query accounting: rec is None when telemetry is fully
-        # disabled, and every phase mark below degrades to one no-op
-        # call — the fast path the obs benchmarks gate at <2%.
-        rec = obs.recorder()
-        mark = rec.mark if rec is not None else _no_mark
-        shortlists = self._shortlists([query], mode)
-        shortlist = None if shortlists is None else shortlists[0]
-        mark("candidates")
-        names, sizes = self._join_sizes(query, shortlist)
-        if not names:
-            return []
-        order, containments = self._joinable_order(
-            sizes, query.num_rows, shortlist
-        )
-        mark("joinability")
-        if order.size == 0:
-            self._record_search(rec, mode, query, query_column, shortlist, 0, len(names), 0)
-            return []
-        rank_of_table, table_rows, val_rows = self._candidate_rows(order, len(names))
-        if val_rows.size == 0:
-            self._record_search(
-                rec, mode, query, query_column, shortlist, int(order.size), len(names), 0
-            )
-            return []
-
-        sketcher = self.index.sketcher
-        # Gathering bank copies only pays off when the filter is
-        # selective; a candidate set covering the whole lake scores the
-        # full banks in place (same estimates, zero copies).
-        whole_lake = (
-            table_rows.size == len(names)
-            and val_rows.size == self.index.owner_positions().size
-        )
-        if self.prune and not whole_lake:
-            indicator_bank = self.index.indicator_bank[table_rows]
-            value_bank = self.index.value_bank[val_rows]
-            square_bank = self.index.square_bank[val_rows]
-            mark("gather")
-            # Per-table statistics, candidate rows only.
-            sum_left = sketcher.estimate_many(
-                query.values[query_column], indicator_bank
-            )
-            mark("estimate.sum_left")
-            sum_squares_left = sketcher.estimate_many(
-                query.squares[query_column], indicator_bank
-            )
-            mark("estimate.sum_squares_left")
-            # Per-column statistics, candidate rows only.
-            sum_right = sketcher.estimate_many(query.indicator, value_bank)
-            mark("estimate.sum_right")
-            sum_squares_right = sketcher.estimate_many(query.indicator, square_bank)
-            mark("estimate.sum_squares_right")
-            inner_products = sketcher.estimate_many(
-                query.values[query_column], value_bank
-            )
-            mark("estimate.inner_product")
-        else:
-            sum_left = sketcher.estimate_many(
-                query.values[query_column], self.index.indicator_bank
-            )[table_rows]
-            mark("estimate.sum_left")
-            sum_squares_left = sketcher.estimate_many(
-                query.squares[query_column], self.index.indicator_bank
-            )[table_rows]
-            mark("estimate.sum_squares_left")
-            sum_right = sketcher.estimate_many(
-                query.indicator, self.index.value_bank
-            )[val_rows]
-            mark("estimate.sum_right")
-            sum_squares_right = sketcher.estimate_many(
-                query.indicator, self.index.square_bank
-            )[val_rows]
-            mark("estimate.sum_squares_right")
-            inner_products = sketcher.estimate_many(
-                query.values[query_column], self.index.value_bank
-            )[val_rows]
-            mark("estimate.inner_product")
-
-        hits = self._score_candidates(
-            sizes,
-            containments,
-            rank_of_table,
-            table_rows,
-            val_rows,
-            sum_left,
-            sum_squares_left,
-            sum_right,
-            sum_squares_right,
-            inner_products,
-            top_k,
-            by,
-        )
-        mark("score")
-        self._record_search(
-            rec,
-            mode,
-            query,
-            query_column,
-            shortlist,
-            int(order.size),
-            len(names),
-            len(hits),
-        )
-        return hits
-
-    @staticmethod
-    def _record_search(
-        rec: "obs.PhaseRecorder | None",
-        mode: str,
-        query: JoinSketch,
-        query_column: str,
-        shortlist: np.ndarray | None,
-        joinable: int,
-        lake_tables: int,
-        hits: int,
-    ) -> None:
-        """Fold one query's accounting into the registry and trace.
-
-        Registry: route counters plus shortlist-size, joinable-count,
-        and pruning-selectivity histograms (``query.*``).  Trace: a
-        ``query.search`` root span with one child per recorded phase.
-        """
-        if rec is None:
-            return
-        obs.count("query.count")
-        obs.count(f"query.route.{mode}")
-        if shortlist is not None:
-            obs.observe("query.shortlist_size", int(shortlist.size))
-        obs.observe("query.joinable_tables", joinable)
-        if lake_tables:
-            obs.observe(
-                "query.pruning_selectivity_pct", 100.0 * joinable / lake_tables
-            )
-        obs.record_phases(
-            rec,
-            "query.search",
-            "query",
-            attrs={
-                "query": query.table_name,
-                "column": query_column,
-                "route": mode,
-                "lake_tables": lake_tables,
-                "joinable": joinable,
-                "shortlist": None if shortlist is None else int(shortlist.size),
-                "hits": hits,
-            },
-        )
+        return self.search_many(
+            [query], [query_column], top_k=top_k, by=by, candidates=candidates
+        )[0]
 
     def search_many(
         self,
@@ -471,18 +286,20 @@ class DatasetSearch:
         by: str = "correlation",
         candidates: str | None = None,
     ) -> list[list[SearchHit]]:
-        """:meth:`search` for a batch of queries, serving-optimized.
+        """Rank the lake against a batch of queries: one hit list each.
 
         ``query_columns`` is one column name applied to every query, or
         one name per query.  The whole batch is answered with **one**
-        ``estimate_cross`` call per statistic: the joinability pass
-        scores every query against the indicator bank at once, and the
-        five relevance statistics run over the *union* of the queries'
-        candidate rows, so the banks are traversed once per batch
-        instead of once per query.  Hit lists are identical to calling
-        :meth:`search` per query — in either candidate mode: the LSH
-        shortlist is computed per query, so batching never changes a
-        query's candidate set.
+        ``estimate_cross`` call per statistic.  With
+        ``candidates="scan"`` the joinability pass (join size per table)
+        is the only full-lake estimate; ``candidates="lsh"`` replaces
+        even that with a banded-signature shortlist per query, so the
+        whole query scales with the candidate set.  Either way the
+        remaining five Figure 2 statistics — left/right sums, left/right
+        second moments, and the cross inner product — are estimated
+        against the *union* of the queries' joinable rows only.  Every
+        query's candidate set is its own, so its hits are identical to
+        running it alone.
         """
         self._check_criterion(by)
         mode = self._resolve_candidates(candidates)
@@ -497,12 +314,13 @@ class DatasetSearch:
                 )
         for query, column in zip(queries, columns):
             self._check_query_column(query, column)
-        if not queries:
-            return []
-        names = self.index.table_names()
-        if not names:
+        num_tables = len(self.index)
+        if not queries or not num_tables:
             return [[] for _ in queries]
 
+        # Per-call accounting: rec is None when telemetry is fully
+        # disabled, and every phase mark below degrades to one no-op
+        # call — the fast path the obs benchmarks gate at <2%.
         rec = obs.recorder()
         mark = rec.mark if rec is not None else _no_mark
         sketcher = self.index.sketcher
@@ -514,39 +332,12 @@ class DatasetSearch:
             [q.squares[c] for q, c in zip(queries, columns)]
         )
         mark("pack")
-
-        # Joinability for every query in one pass: (Q, tables).  The
-        # LSH path estimates only the union of the per-query shortlists
-        # and scatters each query's rows back, so non-candidates keep
-        # size 0 and are masked out per query below.
-        num_tables = len(names)
         shortlists = self._shortlists(queries, mode)
         mark("candidates")
-        if shortlists is None:
-            sizes_all = np.maximum(
-                sketcher.estimate_cross(
-                    indicator_queries, self.index.indicator_bank
-                ),
-                0.0,
-            )
-        else:
-            sizes_all = np.zeros((len(queries), num_tables))
-            union_short = np.unique(np.concatenate(shortlists))
-            if union_short.size:
-                cross = np.maximum(
-                    sketcher.estimate_cross(
-                        indicator_queries,
-                        self.index.indicator_bank[union_short],
-                    ),
-                    0.0,
-                )
-                for qi, rows in enumerate(shortlists):
-                    if rows.size:
-                        sizes_all[qi, rows] = cross[
-                            qi, np.searchsorted(union_short, rows)
-                        ]
 
-        union_mask = np.zeros(num_tables, dtype=bool)
+        # The join-size pass feeds both the joinability filter and the
+        # correlation formula.
+        sizes_all = self._join_sizes(indicator_queries, shortlists)
         selections: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         for qi, query in enumerate(queries):
             order, containments = self._joinable_order(
@@ -558,101 +349,129 @@ class DatasetSearch:
                 order, num_tables
             )
             selections.append((containments, rank_of_table, table_rows, val_rows))
-            union_mask[table_rows] = True
-
-        union_tables = np.flatnonzero(union_mask)
-        union_vals = np.flatnonzero(union_mask[self.index.owner_positions()])
+        # The batch's candidate rows, ascending: O(candidates), not O(lake).
+        union_tables = np.unique(np.concatenate([rows for _, _, rows, _ in selections]))
+        union_vals = np.unique(np.concatenate([rows for _, _, _, rows in selections]))
         mark("joinability")
+
         results: list[list[SearchHit]] = [[] for _ in queries]
-        if union_vals.size == 0:
-            self._record_batch(rec, mode, len(queries), 0, num_tables, shortlists)
-            return results
-
-        # The five relevance statistics for the whole batch, one
-        # estimate_cross each over the union candidate rows.  As in
-        # search(), a union covering the whole lake skips the gather.
-        whole_lake = (
-            union_tables.size == num_tables
-            and union_vals.size == self.index.owner_positions().size
-        )
-        if self.prune and not whole_lake:
-            indicator_bank = self.index.indicator_bank[union_tables]
-            value_bank = self.index.value_bank[union_vals]
-            square_bank = self.index.square_bank[union_vals]
-            table_base, val_base = union_tables, union_vals
-        else:
-            indicator_bank = self.index.indicator_bank
-            value_bank = self.index.value_bank
-            square_bank = self.index.square_bank
-            table_base = np.arange(num_tables, dtype=np.int64)
-            val_base = np.arange(len(value_bank), dtype=np.int64)
-        mark("gather")
-        sum_left_all = sketcher.estimate_cross(value_queries, indicator_bank)
-        mark("estimate.sum_left")
-        sum_squares_left_all = sketcher.estimate_cross(square_queries, indicator_bank)
-        mark("estimate.sum_squares_left")
-        sum_right_all = sketcher.estimate_cross(indicator_queries, value_bank)
-        mark("estimate.sum_right")
-        sum_squares_right_all = sketcher.estimate_cross(indicator_queries, square_bank)
-        mark("estimate.sum_squares_right")
-        inner_products_all = sketcher.estimate_cross(value_queries, value_bank)
-        mark("estimate.inner_product")
-
-        for qi in range(len(queries)):
-            containments, rank_of_table, table_rows, val_rows = selections[qi]
-            if val_rows.size == 0:
-                continue
-            # Each query's candidate rows are a subset of the union
-            # rows; both are ascending, so the gather is a searchsorted.
-            table_local = np.searchsorted(table_base, table_rows)
-            val_local = np.searchsorted(val_base, val_rows)
-            results[qi] = self._score_candidates(
-                sizes_all[qi],
-                containments,
-                rank_of_table,
-                table_rows,
-                val_rows,
-                sum_left_all[qi][table_local],
-                sum_squares_left_all[qi][table_local],
-                sum_right_all[qi][val_local],
-                sum_squares_right_all[qi][val_local],
-                inner_products_all[qi][val_local],
-                top_k,
-                by,
+        if union_vals.size:
+            # Gathering bank copies only pays off when the filter is
+            # selective; a union covering the whole lake scores the
+            # full banks in place (same estimates, zero copies).
+            if (
+                union_tables.size == num_tables
+                and union_vals.size == self.index.owner_positions().size
+            ):
+                indicator_bank = self.index.indicator_bank
+                value_bank = self.index.value_bank
+                square_bank = self.index.square_bank
+            else:
+                indicator_bank = self.index.indicator_bank[union_tables]
+                value_bank = self.index.value_bank[union_vals]
+                square_bank = self.index.square_bank[union_vals]
+            mark("gather")
+            # Per-table statistics, then per-column statistics.
+            sum_left_all = sketcher.estimate_cross(value_queries, indicator_bank)
+            mark("estimate.sum_left")
+            sum_squares_left_all = sketcher.estimate_cross(
+                square_queries, indicator_bank
             )
-        mark("score")
-        self._record_batch(
-            rec, mode, len(queries), int(union_tables.size), num_tables, shortlists
-        )
+            mark("estimate.sum_squares_left")
+            sum_right_all = sketcher.estimate_cross(indicator_queries, value_bank)
+            mark("estimate.sum_right")
+            sum_squares_right_all = sketcher.estimate_cross(
+                indicator_queries, square_bank
+            )
+            mark("estimate.sum_squares_right")
+            inner_products_all = sketcher.estimate_cross(value_queries, value_bank)
+            mark("estimate.inner_product")
+
+            for qi, (containments, rank_of_table, table_rows, val_rows) in enumerate(
+                selections
+            ):
+                if val_rows.size == 0:
+                    continue
+                # Each query's candidate rows are a subset of the union
+                # rows; both are ascending, so the gather is a
+                # searchsorted.
+                table_local = np.searchsorted(union_tables, table_rows)
+                val_local = np.searchsorted(union_vals, val_rows)
+                results[qi] = self._score_candidates(
+                    sizes_all[qi],
+                    containments,
+                    rank_of_table,
+                    table_rows,
+                    val_rows,
+                    sum_left_all[qi][table_local],
+                    sum_squares_left_all[qi][table_local],
+                    sum_right_all[qi][val_local],
+                    sum_squares_right_all[qi][val_local],
+                    inner_products_all[qi][val_local],
+                    top_k,
+                    by,
+                )
+            mark("score")
+        if rec is not None:
+            self._record(
+                rec,
+                mode,
+                queries,
+                columns,
+                shortlists,
+                selections,
+                union_tables,
+                num_tables,
+                results,
+            )
         return results
 
     @staticmethod
-    def _record_batch(
-        rec: "obs.PhaseRecorder | None",
+    def _record(
+        rec: "obs.PhaseRecorder",
         mode: str,
-        queries: int,
-        union_joinable: int,
-        lake_tables: int,
+        queries: list[JoinSketch],
+        columns: list[str],
         shortlists: list[np.ndarray] | None,
+        selections: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        union_tables: np.ndarray,
+        lake_tables: int,
+        results: list[list[SearchHit]],
     ) -> None:
-        """Accounting for one ``search_many`` batch (``query.batch.*``)."""
-        if rec is None:
-            return
-        obs.count("query.batch.count")
-        obs.count("query.batch.queries", queries)
-        obs.count(f"query.route.{mode}", queries)
-        if shortlists is not None:
-            for rows in shortlists:
-                obs.observe("query.shortlist_size", int(rows.size))
+        """Fold one :meth:`search_many` call into the registry and trace.
+
+        Per call: one ``query.latency_ms`` and one set of
+        ``query.phase_ms.*`` observations, and a ``query.search`` root
+        span with one child per recorded phase, naming every query's
+        table, column and shortlist size.  Per query: the count,
+        route, shortlist-size, joinable-count and pruning-selectivity
+        metrics (``query.*``).
+        """
+        obs.count("query.count", len(selections))
+        obs.count(f"query.route.{mode}", len(selections))
+        for rows in shortlists or ():
+            obs.observe("query.shortlist_size", int(rows.size))
+        for _, _, table_rows, _ in selections:
+            obs.observe("query.joinable_tables", int(table_rows.size))
+            obs.observe(
+                "query.pruning_selectivity_pct",
+                100.0 * table_rows.size / lake_tables,
+            )
         obs.record_phases(
             rec,
-            "query.search_many",
-            "query.batch",
+            "query.search",
+            "query",
             attrs={
-                "queries": queries,
+                "queries": len(selections),
+                "tables": [query.table_name for query in queries],
+                "columns": columns,
+                "shortlists": None
+                if shortlists is None
+                else [int(rows.size) for rows in shortlists],
                 "route": mode,
                 "lake_tables": lake_tables,
-                "union_joinable": union_joinable,
+                "joinable": int(union_tables.size),
+                "hits": sum(len(hits) for hits in results),
             },
         )
 
@@ -676,8 +495,9 @@ class DatasetSearch:
         ``sizes``/``containments``/``rank_of_table`` cover every table;
         ``sum_left``/``sum_squares_left`` align with ``table_rows`` and
         the remaining statistics with ``val_rows``.  Scoring is one
-        vectorized pass over the candidates (same arithmetic as
-        :meth:`_correlation`), followed by an argpartition top-k cut.
+        vectorized pass over the candidates (the arithmetic of
+        :class:`~repro.datasearch.join_estimates.JoinStatisticsEstimator`),
+        followed by an argpartition top-k cut.
         """
         owner_pos = self.index.owner_positions()
         cand_owner = owner_pos[val_rows]
@@ -734,36 +554,8 @@ class DatasetSearch:
                     containment=float(containments[owner]),
                     score=float(scores[c]),
                     # the math.nan singleton, so hit tuples stay
-                    # comparable with == (identity shortcut) like the
-                    # scalar _correlation always returned
+                    # comparable with == (identity shortcut)
                     correlation=math.nan if math.isnan(correlation) else correlation,
                 )
             )
         return hits
-
-    @staticmethod
-    def _correlation(
-        size: float,
-        sum_left: float,
-        sum_squares_left: float,
-        sum_right: float,
-        sum_squares_right: float,
-        inner_product: float,
-    ) -> float:
-        """Pearson correlation from the six primitive estimates.
-
-        Mirrors :class:`~repro.datasearch.join_estimates.JoinStatisticsEstimator`
-        exactly: NaN when the join-size estimate is below 0.5 or a
-        variance degenerates, clamped to ``[-1, 1]`` otherwise.
-        """
-        if size < 0.5:
-            return math.nan
-        mean_left = sum_left / size
-        mean_right = sum_right / size
-        variance_left = max(sum_squares_left / size - mean_left * mean_left, 0.0)
-        variance_right = max(sum_squares_right / size - mean_right * mean_right, 0.0)
-        if not (variance_left > 0.0 and variance_right > 0.0):
-            return math.nan
-        covariance = inner_product / size - mean_left * mean_right
-        raw = covariance / math.sqrt(variance_left * variance_right)
-        return max(-1.0, min(1.0, raw))

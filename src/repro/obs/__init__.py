@@ -12,11 +12,15 @@ One small layer, three surfaces:
   span) when enabled via ``REPRO_TRACE=<path>`` or
   :func:`~repro.obs.tracing.enable_tracing`; a no-op singleton
   otherwise;
-* :class:`PhaseRecorder` / :func:`record_phases` — the per-query
-  accounting used by the search hot path: one clock pair per phase
-  mark, folded into both the registry (``query.phase_ms.*``
-  histograms) and the trace (a root span plus one child per phase)
-  without instrumenting the hot loop twice.
+* :class:`PhaseRecorder` / :func:`record_phases` — the query
+  accounting used by the search pipeline: one clock pair per phase
+  mark, folded once per ``search_many`` call (one query or a batch)
+  into both the registry (``query.latency_ms`` and
+  ``query.phase_ms.*`` histograms) and the trace (a ``query.search``
+  root span plus one child per phase) without instrumenting the hot
+  loop twice; per-query counts (``query.count``, ``query.route.*``,
+  joinability and pruning histograms) are recorded for each query of
+  the call.
 
 Everything here is stdlib-only and import-cycle-free: ``obs`` is a
 leaf module every other layer (``io``, ``store``, ``parallel``,

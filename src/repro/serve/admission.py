@@ -278,24 +278,13 @@ class MicroBatcher:
         head = group[0]
         try:
             faults.failpoint(FP_BATCH)
-            if len(group) == 1:
-                results = [
-                    session.search(
-                        head.table,
-                        head.column,
-                        top_k=head.top_k,
-                        by=head.by,
-                        candidates=head.candidates,
-                    )
-                ]
-            else:
-                results = session.search_many(
-                    [request.table for request in group],
-                    [request.column for request in group],
-                    top_k=head.top_k,
-                    by=head.by,
-                    candidates=head.candidates,
-                )
+            results = session.search_many(
+                [request.table for request in group],
+                [request.column for request in group],
+                top_k=head.top_k,
+                by=head.by,
+                candidates=head.candidates,
+            )
         except Exception as exc:  # typed response, never a dead batcher thread
             obs.count("serve.errors")
             for request in group:

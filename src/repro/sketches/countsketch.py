@@ -148,9 +148,9 @@ class CountSketch(Sketcher):
             kind=self.name,
             params=self._bank_params(),
             columns={
-                "tables": np.stack([s.table for s in sketches])
-                if sketches
-                else np.empty((0, self.repetitions, self.width))
+                "tables": np.array(
+                    [s.table for s in sketches], dtype=np.float64
+                ).reshape(len(sketches), self.repetitions, self.width)
             },
             words_per_sketch=self.storage_words(),
         )
@@ -197,27 +197,14 @@ class CountSketch(Sketcher):
             words_per_sketch=self.storage_words(),
         )
 
-    def estimate_many(
-        self, query_sketch: CountSketchData, bank: SketchBank
-    ) -> np.ndarray:
-        """Median-of-repetitions estimates against every bank row."""
-        self._check_bank(bank)
-        self._check_query(query_sketch)
-        per_repetition = np.einsum(
-            "nrw,rw->nr", bank.columns["tables"], query_sketch.table
-        )
-        if per_repetition.shape[0] == 0:
-            return np.zeros(0)
-        return np.median(per_repetition, axis=1)
-
     def estimate_cross(self, query_bank: SketchBank, bank: SketchBank) -> np.ndarray:
         """Median-of-repetitions estimates for every query/row pair.
 
         The ``w``-contraction runs per bounded bank chunk, so the
         ``(Q, chunk, repetitions)`` per-repetition temporary never
         scales with the lake; einsum reduces ``w`` in the same
-        sequential order as :meth:`estimate_many` and the median is
-        per-pair, so each result row is bit-identical to the per-query
+        sequential order as the scalar :meth:`estimate` and the median
+        is per-pair, so every entry is bit-identical to the scalar
         call.
         """
         self._check_bank(query_bank)

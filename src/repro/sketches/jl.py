@@ -89,7 +89,7 @@ class JohnsonLindenstrauss(Sketcher):
             "JL sketches built with different (m, seed) are not comparable",
         )
         # einsum (not BLAS dot) so the scalar path reduces in exactly
-        # the same order as estimate_many's row-wise contraction.
+        # the same order as estimate_cross's row-wise contraction.
         return float(np.einsum("m,m->", sketch_a.projection, sketch_b.projection))
 
     # ------------------------------------------------------------------
@@ -116,9 +116,9 @@ class JohnsonLindenstrauss(Sketcher):
             kind=self.name,
             params=self._bank_params(),
             columns={
-                "projections": np.stack([s.projection for s in sketches])
-                if sketches
-                else np.empty((0, self.m))
+                "projections": np.array(
+                    [s.projection for s in sketches], dtype=np.float64
+                ).reshape(len(sketches), self.m)
             },
             words_per_sketch=self.storage_words(),
         )
@@ -163,21 +163,12 @@ class JohnsonLindenstrauss(Sketcher):
             words_per_sketch=self.storage_words(),
         )
 
-    def estimate_many(self, query_sketch: JLSketch, bank: SketchBank) -> np.ndarray:
-        """Inner products of the query projection with every bank row."""
-        self._check_bank(bank)
-        self._check_query(query_sketch)
-        return np.einsum(
-            "nm,m->n", bank.columns["projections"], query_sketch.projection
-        )
-
     def estimate_cross(self, query_bank: SketchBank, bank: SketchBank) -> np.ndarray:
         """All pairwise projection inner products in one contraction.
 
         einsum's sequential sum-of-products kernel reduces the shared
-        ``m`` axis in the same order as :meth:`estimate_many`'s
-        contraction, so each result row is bit-identical to the
-        per-query call.
+        ``m`` axis in the same order as the scalar :meth:`estimate`,
+        so every entry is bit-identical to the scalar call.
         """
         self._check_bank(query_bank)
         self._check_bank(bank)

@@ -23,9 +23,9 @@ When a vector has fewer than ``k`` non-zeros the sketch is exact
 exact count of merged distinct hashes.
 
 The batch path stores sketches in inf-padded ``(count, k)`` arrays and
-scores a query against every row with one vectorized merge; the scalar
-``estimate`` delegates to the same kernel, so scalar and batch results
-are bit-identical by construction.
+scores each query against every row with one vectorized merge; the
+scalar ``estimate`` delegates to the same kernel, so scalar and batch
+results are bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -131,9 +131,10 @@ class KMinimumValues(Sketcher):
             sketch_a.k == sketch_b.k and sketch_a.seed == sketch_b.seed,
             "KMV sketches built with different (k, seed)",
         )
+        self._check_query(sketch_a)
         # Single source of truth: the scalar estimate is the one-row
         # case of the vectorized merge kernel.
-        return float(self.estimate_many(sketch_a, self.pack_bank([sketch_b]))[0])
+        return float(self._estimate_rows(sketch_a, self.pack_bank([sketch_b]))[0])
 
     # ------------------------------------------------------------------
     # batch path
@@ -271,23 +272,31 @@ class KMinimumValues(Sketcher):
             words_per_sketch=self.storage_words(),
         )
 
-    def estimate_many(self, query_sketch: KMVSketch, bank: SketchBank) -> np.ndarray:
-        """Beyer-et-al. estimation against every bank row, vectorized.
+    def estimate_cross(self, query_bank: SketchBank, bank: SketchBank) -> np.ndarray:
+        """Beyer-et-al. estimation for every query/row pair, one query
+        at a time (see :meth:`_estimate_rows`)."""
+        self._check_bank(query_bank)
+        self._check_bank(bank)
+        out = np.zeros((len(query_bank), len(bank)))
+        for qi in range(len(query_bank)):
+            out[qi] = self._estimate_rows(self.bank_row(query_bank, qi), bank)
+        return out
+
+    def _estimate_rows(self, query_sketch: KMVSketch, bank: SketchBank) -> np.ndarray:
+        """Beyer-et-al. estimation of one query against every bank row.
 
         Per row the kernel stable-merges the query's and the row's
         sorted hash arrays (ties place the row's copy first, marking a
         shared coordinate), recovers the ``k``-th smallest distinct
         hash ``τ``, and Horvitz–Thompson-weights the matched products —
         the same quantities the classic ``union1d``/``intersect1d``
-        formulation produces.  The merge runs in row chunks so its
+        formulation produces.  The merge runs over row chunks so its
         ``(rows, 2k)`` merge/argsort temporaries stay bounded on large
         lakes; each row's value is bit-identical to the unchunked pass.
         """
-        self._check_bank(bank)
-        self._check_query(query_sketch)
         count = len(bank)
         out = np.zeros(count)
-        if count == 0 or query_sketch.hashes.size == 0:
+        if query_sketch.hashes.size == 0:
             return out
         width = bank.columns["hashes"].shape[1]
         chunk = max(1, _BATCH_CELL_TARGET // max(width + query_sketch.hashes.size, 1))

@@ -128,17 +128,13 @@ class MinHash(Sketcher):
     def pack_bank(self, sketches: Sequence[MinHashSketch]) -> SketchBank:
         for sketch in sketches:
             self._check_query(sketch)
-        count = len(sketches)
+        shape = (len(sketches), self.m)
         return SketchBank(
             kind=self.name,
             params=self._bank_params(),
             columns={
-                "hashes": np.stack([s.hashes for s in sketches])
-                if count
-                else np.empty((0, self.m)),
-                "values": np.stack([s.values for s in sketches])
-                if count
-                else np.empty((0, self.m)),
+                "hashes": np.array([s.hashes for s in sketches], np.float64).reshape(shape),
+                "values": np.array([s.values for s in sketches], np.float64).reshape(shape),
             },
             words_per_sketch=self.storage_words(),
         )
@@ -239,12 +235,13 @@ class MinHash(Sketcher):
         bank_hashes: np.ndarray,
         bank_values: np.ndarray,
     ) -> np.ndarray:
-        """Algorithm 2 for one ``(..., m)``-aligned block, fused.
+        """Algorithm 2 of one query against a ``(rows, m)`` bank block.
 
-        Inputs broadcast on the leading axes; the trailing ``m`` axis is
-        reduced away.  A non-empty sketch's hashes are all finite, so an
-        empty row (all ``+inf``) matches nothing and its estimate comes
-        out exactly ``+0.0`` — no activity mask needed.
+        Each row's full-width arithmetic is the scalar estimator's, so
+        every value is bit-identical to it.  A non-empty sketch's hashes
+        are all finite, so an empty row (all ``+inf``) matches nothing
+        and its estimate comes out exactly ``+0.0`` — no activity mask
+        needed.
         """
         minima = np.minimum(query_hashes, bank_hashes)
         union_estimate = self.m / minima.sum(axis=-1) - 1.0
@@ -254,40 +251,15 @@ class MinHash(Sketcher):
         )
         return (union_estimate / self.m) * matched_products
 
-    def estimate_many(self, query_sketch: MinHashSketch, bank: SketchBank) -> np.ndarray:
-        """Algorithm 2 against every bank row in one fused chunked pass.
-
-        Temporaries are bounded ``(chunk, m)`` blocks (about
-        :data:`_BATCH_CELL_TARGET` elements) instead of full-lake
-        ``(rows, m)`` intermediates; each row's value is bit-identical
-        to the unchunked arithmetic.
-        """
-        self._check_bank(bank)
-        self._check_query(query_sketch)
-        count = len(bank)
-        out = np.zeros(count)
-        if count == 0 or not np.isfinite(query_sketch.hashes).any():
-            return out
-        bank_hashes = bank.columns["hashes"]
-        bank_values = bank.columns["values"]
-        query_hashes = query_sketch.hashes[None, :]
-        query_values = query_sketch.values[None, :]
-        chunk = max(1, _BATCH_CELL_TARGET // max(self.m, 1))
-        for lo in range(0, count, chunk):
-            hi = min(lo + chunk, count)
-            out[lo:hi] = self._estimate_block(
-                query_hashes, query_values, bank_hashes[lo:hi], bank_values[lo:hi]
-            )
-        return out
-
     def estimate_cross(self, query_bank: SketchBank, bank: SketchBank) -> np.ndarray:
         """Algorithm 2 for every query/row pair, one bank traversal.
 
-        Row ``i`` is bit-identical to ``estimate_many`` of query ``i``.
+        Every entry is bit-identical to the scalar :meth:`estimate`.
         Bank-chunk-outer / query-inner loop nest: each bounded
-        ``(row_chunk, m)`` bank slice stays cache-resident while the
-        whole query batch scores against it, so the bank streams
-        through memory once per batch instead of once per query.
+        ``(row_chunk, m)`` bank slice (about :data:`_BATCH_CELL_TARGET`
+        elements) stays cache-resident while the whole query batch
+        scores against it, so the bank streams through memory once per
+        batch instead of once per query.
         """
         self._check_bank(query_bank)
         self._check_bank(bank)
@@ -307,13 +279,10 @@ class MinHash(Sketcher):
             block_values = bank_values[lo:hi]
             for qi in range(num_queries):
                 out[qi, lo:hi] = self._estimate_block(
-                    q_hashes[qi][None, :],
-                    q_values[qi][None, :],
-                    block_hashes,
-                    block_values,
+                    q_hashes[qi], q_values[qi], block_hashes, block_values
                 )
-        # estimate_many short-circuits empty queries to exact +0.0; an
-        # (empty query, empty row) pair would otherwise produce -0.0
-        # through the inf min-sum.
+        # Empty queries estimate exact +0.0; an (empty query, empty
+        # row) pair would otherwise produce -0.0 through the inf
+        # min-sum.
         out[~np.isfinite(q_hashes).any(axis=1), :] = 0.0
         return out

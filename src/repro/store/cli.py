@@ -145,7 +145,6 @@ def _run_query(args: argparse.Namespace) -> int:
         load_csv_table(path, key_column=args.key_column, aggregate=args.aggregate)
         for path in args.csv
     ]
-    batched = len(tables) > 1
     try:
         store = LakeStore.open(args.store)
     except StoreError:
@@ -160,16 +159,11 @@ def _run_query(args: argparse.Namespace) -> int:
             min_containment=args.min_containment,
             candidates=args.candidates,
         )
-        if batched:
-            # One search_many call: the whole batch shares each bank
-            # traversal instead of paying it once per CSV.
-            all_hits = session.search_many(
-                tables, args.column, top_k=args.top_k, by=args.by
-            )
-        else:
-            all_hits = [
-                session.search(tables[0], args.column, top_k=args.top_k, by=args.by)
-            ]
+        # One search_many call: a batch of CSVs shares each bank
+        # traversal instead of paying it once per CSV.
+        all_hits = session.search_many(
+            tables, args.column, top_k=args.top_k, by=args.by
+        )
         # Degraded-mode signals (salvage open, manifest fallback,
         # dropped LSH index → scan fallback) ride along with every
         # result, so callers detect degraded serving from the output

@@ -143,15 +143,11 @@ class QuerySession:
         by: str = "correlation",
         candidates: str | None = None,
     ) -> list[SearchHit]:
-        """Rank stored columns against ``table.query_column``."""
-        with obs.trace_span("session.search", table=table.name, column=query_column):
-            return self.engine.search(
-                self.sketch(table),
-                query_column,
-                top_k=top_k,
-                by=by,
-                candidates=candidates,
-            )
+        """Rank stored columns against ``table.query_column``: the
+        one-table case of :meth:`search_many`."""
+        return self.search_many(
+            [table], [query_column], top_k=top_k, by=by, candidates=candidates
+        )[0]
 
     def search_many(
         self,
@@ -163,11 +159,17 @@ class QuerySession:
     ) -> list[list[SearchHit]]:
         """Rank stored columns against a batch of query tables.
 
-        One hit list per table, identical to calling :meth:`search` per
-        table, but the stored banks are traversed once for the whole
-        batch (``estimate_cross``) instead of once per query.
+        One hit list per table, each identical to searching that table
+        alone; the stored banks are traversed once for the whole batch
+        (``estimate_cross``).  Query tables are sketched through the
+        session cache.
         """
-        with obs.trace_span("session.search_many", queries=len(tables)):
+        with obs.trace_span(
+            "session.search",
+            queries=len(tables),
+            tables=[table.name for table in tables],
+            columns=query_columns,
+        ):
             return self.engine.search_many(
                 [self.sketch(table) for table in tables],
                 query_columns,

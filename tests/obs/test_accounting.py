@@ -84,17 +84,80 @@ class TestQueryAccounting:
         assert shortlist is not None and shortlist.count == 1
 
     def test_batch_accounting(self, tmp_path, clean_registry):
+        """A batch is one call (latency, phases) of three queries
+        (count, route, joinability), in the one query.* vocabulary."""
         store = fresh_store(tmp_path, make_tables())
         try:
-            session = QuerySession(store)
+            session = QuerySession(store, candidates="lsh")
             queries = [make_query(seed=40 + i) for i in range(3)]
             session.search_many(queries, "signal", top_k=5)
         finally:
             store.close()
-        assert clean_registry.counter_value("query.batch.count") == 1
-        assert clean_registry.counter_value("query.batch.queries") == 3
-        batch_latency = clean_registry.histogram("query.batch.latency_ms")
-        assert batch_latency is not None and batch_latency.count == 1
+        assert clean_registry.counter_value("query.count") == 3
+        assert clean_registry.counter_value("query.route.lsh") == 3
+        for name in (
+            "query.shortlist_size",
+            "query.joinable_tables",
+            "query.pruning_selectivity_pct",
+        ):
+            hist = clean_registry.histogram(name)
+            assert hist is not None and hist.count == 3, name
+        latency = clean_registry.histogram("query.latency_ms")
+        assert latency is not None and latency.count == 1
+        for phase in ("pack", "candidates", "joinability", "score"):
+            hist = clean_registry.histogram(f"query.phase_ms.{phase}")
+            assert hist is not None and hist.count == 1, phase
+        snapshot = clean_registry.snapshot()
+        assert not [
+            name
+            for kind in ("counters", "histograms")
+            for name in snapshot[kind]
+            if name.startswith("query.batch.")
+        ]
+
+    def test_batch_traces_one_root_span(self, tmp_path):
+        store = fresh_store(tmp_path, make_tables())
+        trace_path = tmp_path / "trace.jsonl"
+        try:
+            session = QuerySession(store)
+            queries = [make_query(seed=40 + i) for i in range(3)]
+            with obs.tracing(trace_path):
+                session.search_many(queries, "signal", top_k=5)
+        finally:
+            store.close()
+        events = obs.read_trace(trace_path)
+        obs.validate_trace(events)
+        roots = [event for event in events if event["name"] == "query.search"]
+        assert len(roots) == 1
+        assert roots[0]["attrs"]["queries"] == 3
+        names = [query.name for query in queries]
+        assert roots[0]["attrs"]["tables"] == names
+        assert roots[0]["attrs"]["columns"] == ["signal"] * 3
+        (session_span,) = [e for e in events if e["name"] == "session.search"]
+        assert roots[0]["parent_id"] == session_span["span_id"]
+        assert session_span["attrs"]["tables"] == names
+        assert session_span["attrs"]["columns"] == "signal"
+
+    def test_single_query_trace_names_table_and_column(self, tmp_path):
+        store = fresh_store(tmp_path, make_tables())
+        trace_path = tmp_path / "trace.jsonl"
+        try:
+            session = QuerySession(store)
+            query = make_query()
+            with obs.tracing(trace_path):
+                session.search(query, "signal", top_k=5, candidates="lsh")
+        finally:
+            store.close()
+        events = obs.read_trace(trace_path)
+        (root,) = [e for e in events if e["name"] == "query.search"]
+        (session_span,) = [e for e in events if e["name"] == "session.search"]
+        assert root["attrs"]["tables"] == [query.name]
+        assert root["attrs"]["columns"] == ["signal"]
+        assert root["attrs"]["route"] == "lsh"
+        (shortlist,) = root["attrs"]["shortlists"]
+        assert isinstance(shortlist, int) and shortlist >= 0
+        assert session_span["attrs"]["tables"] == [query.name]
+        assert session_span["attrs"]["columns"] == ["signal"]
 
     def test_sketch_cache_counters(self, tmp_path, clean_registry):
         store = fresh_store(tmp_path, make_tables())

@@ -117,8 +117,12 @@ class TestWholeGenerationReads:
                     writer.append(make_lake_tables(count=2, seed=7))
                 record()
                 time.sleep(0.3)  # let the reloader pick up the append
+                # Append and compaction are two commits; the reloader
+                # may serve either, so both go in the answer book.
                 with LakeStore.open(store_dir) as writer:
                     writer.append(make_lake_tables(count=2, seed=8))
+                record()
+                with LakeStore.open(store_dir) as writer:
                     writer.compact()
                 record()
                 # Wait until the reloader swapped to the final commit

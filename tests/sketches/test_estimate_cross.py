@@ -21,9 +21,10 @@ from repro.vectors.sparse import SparseVector
 REGISTRY = method_registry()
 ALL_METHODS = sorted(REGISTRY)
 
-#: Methods whose estimate_cross is truly vectorized (one bank traversal
-#: per query batch); the rest use the base-class per-query fallback.
-CROSS_VECTORIZED = ("WMH", "MH", "JL", "CS")
+#: Methods with a vectorized estimate_cross kernel (KMV's scores one
+#: query at a time against the whole bank); the rest use the
+#: base-class scalar fallback.
+CROSS_VECTORIZED = ("WMH", "MH", "KMV", "JL", "CS")
 
 
 def build(name: str, storage: int = 300, seed: int = 3):
@@ -141,3 +142,36 @@ class TestCrossSafety:
             ours.estimate_cross(foreign, bank)
         with pytest.raises(SketchMismatchError):
             ours.estimate_cross(bank, foreign)
+
+
+
+class TestWMHKernel:
+    def test_cross_equals_scalar_bitwise(self, corpus, query_corpus):
+        # The kernel reuses one zeroed terms block for every query and
+        # chunk; a leftover term or a -0.0 would show up here.
+        sketcher = build("WMH")
+        bank = sketcher.sketch_batch(corpus)
+        queries = [sketcher.sketch(v) for v in query_corpus]
+        cross = sketcher.estimate_cross(sketcher.pack_bank(queries), bank)
+        scalar = np.array(
+            [
+                [sketcher.estimate(q, sketcher.bank_row(bank, j)) for j in range(len(bank))]
+                for q in queries
+            ]
+        )
+        assert (cross == 0.0).any()
+        np.testing.assert_array_equal(cross.view(np.uint64), scalar.view(np.uint64))
+
+    def test_chunked_cross_equals_unchunked(self, corpus, query_corpus, monkeypatch):
+        # 4-row chunks and a 2-row tail: the reused work blocks are sliced
+        # per chunk and must stay clean across chunk boundaries.
+        import repro.core.wmh as wmh_module
+
+        sketcher = build("WMH")
+        bank = sketcher.sketch_batch(corpus)
+        queries = sketcher.sketch_batch(query_corpus)
+        whole = sketcher.estimate_cross(queries, bank)
+        monkeypatch.setattr(wmh_module, "_ESTIMATE_CELL_TARGET", 4 * sketcher.m)
+        chunked = sketcher.estimate_cross(queries, bank)
+        assert len(bank) % 4 == 2
+        np.testing.assert_array_equal(chunked.view(np.uint64), whole.view(np.uint64))

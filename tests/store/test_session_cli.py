@@ -44,7 +44,8 @@ class TestQuerySession:
         store = fresh_store(tmp_path, tables)
         session = QuerySession(store)
         query = make_query()
-        direct = session.engine.search_table(query, "signal", top_k=5)
+        engine = session.engine
+        direct = engine.search(engine.sketch_query(query), "signal", top_k=5)
         via_session = session.search(query, "signal", top_k=5)
         assert [(h.table_name, h.column, h.score) for h in via_session] == [
             (h.table_name, h.column, h.score) for h in direct
