@@ -16,11 +16,12 @@ sampling-based (MinHash, KMV, Weighted MinHash) — fits one contract:
   the ``Q = 1`` row of ``estimate_cross``.
 
 The batch half of the contract has a correct-but-generic default that
-wraps the scalar path (an object-dtype bank plus a Python loop), so
-every sketcher is batch-capable out of the box; the methods on the
-paper's critical path (WMH, MinHash, KMV, JL, CountSketch) override
-``estimate_cross`` with truly vectorized kernels that produce
-bit-identical results.
+wraps the scalar path (a Python loop over rows and pairs), so every
+sketcher is batch-capable out of the box; the methods on the paper's
+critical path (WMH, MinHash, KMV, JL, CountSketch) override
+``sketch_batch`` and ``estimate_cross`` with truly vectorized kernels
+that produce bit-identical results.  Every storable method packs its
+banks into fixed-width columns (:meth:`Sketcher.bank_layout`).
 
 The contract also carries the paper's *storage accounting*
 (Section 5, "Storage Size"): experiments compare methods at equal
@@ -87,31 +88,17 @@ class Sketcher(abc.ABC):
     # ------------------------------------------------------------------
 
     def sketch_batch(
-        self,
-        matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray,
-        workers: int | None = None,
+        self, matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray
     ) -> SketchBank:
         """Sketch every row of ``matrix`` into one :class:`SketchBank`.
 
-        ``workers`` opts into the chunked process-pool executor of
-        :mod:`repro.parallel`: ``None`` or ``1`` sketches in-process,
-        ``> 1`` fans row chunks out to that many worker processes.
-        Because every sketcher is a pure function of ``(config, row)``,
-        the resulting bank is bit-identical for any worker count.
-        """
-        if workers is not None and workers > 1:
-            from repro.parallel import parallel_sketch_batch
-
-            return parallel_sketch_batch(self, matrix, workers=workers)
-        return self._sketch_batch(matrix)
-
-    def _sketch_batch(
-        self, matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray
-    ) -> SketchBank:
-        """Serial batch implementation behind :meth:`sketch_batch`.
-
-        The default wraps the scalar path row by row; vectorized
-        sketchers override this with a single pass over the CSR arrays.
+        The default wraps the scalar path row by row and stacks the
+        results with :meth:`pack_bank`; vectorized sketchers override
+        this with a single pass over the CSR arrays.  Rows are
+        independent, so callers may split a matrix into row chunks
+        (the streaming ingest pipeline of :mod:`repro.parallel` does,
+        across worker processes) and concatenate the banks: the result
+        is bit-identical to one call over the whole matrix.
         """
         rows = as_sparse_matrix(matrix)
         return self.pack_bank([self.sketch(row) for row in rows])
@@ -163,28 +150,19 @@ class Sketcher(abc.ABC):
     def signature_keys(self, bank: SketchBank) -> np.ndarray | None:
         """Signature keys for every bank row (2-D, one row per sketch).
 
-        The default stacks :meth:`signature_key` over the bank's scalar
-        sketches; columnar sketchers override this with a zero-copy
-        column view.  Returns ``None`` when the method has no signature.
+        Methods with a signature override this with a zero-copy view of
+        their key column; ``None`` when the method has no signature.
         """
-        if self.signature_length() is None:
-            return None
-        self._check_bank(bank)
-        if len(bank) == 0:
-            return np.empty((0, self.signature_length()), dtype=np.uint64)
-        return np.stack(
-            [
-                self.signature_key(self.bank_row(bank, i))
-                for i in range(len(bank))
-            ]
-        )
+        return None
 
     def pack_bank(self, sketches: Sequence[Any]) -> SketchBank:
         """Stack scalar sketch objects into a bank.
 
         The generic fallback keeps the objects in one object-dtype
-        column; columnar sketchers override this to stack real field
-        arrays.
+        column — enough for in-memory use by reference sketchers and
+        wrappers.  Every storable kind (``SKETCHER_CLASSES`` in
+        :mod:`repro.store.config`) overrides this to stack real field
+        arrays matching its :meth:`bank_layout`.
         """
         column = np.empty(len(sketches), dtype=object)
         for i, sketch in enumerate(sketches):
@@ -226,12 +204,13 @@ class Sketcher(abc.ABC):
         ``row_shape`` is the shape of **one row's** entry (``()`` for a
         scalar per row) and ``dtype_str`` is the numpy dtype string
         (e.g. ``"<f8"``).  A non-``None`` layout promises that
-        ``_sketch_batch`` over ``N`` rows returns exactly these columns
-        with shapes ``(N, *row_shape)`` — which lets the streaming
-        ingest pipeline pre-size a shard file and let chunk workers
-        write their rows at exact byte offsets.  Sketchers whose banks
-        are object columns (the generic fallback) return ``None`` and
-        take the materialize-then-concat path instead.
+        :meth:`sketch_batch` and :meth:`pack_bank` over ``N`` rows
+        return exactly these columns with shapes ``(N, *row_shape)`` —
+        which lets the streaming ingest pipeline pre-size a shard file
+        and let chunk workers write their rows at exact byte offsets,
+        and lets a store check every shard it opens.  Every storable
+        kind has one; only in-memory sketchers on the object-column
+        fallback return ``None``.
         """
         return None
 

@@ -748,7 +748,7 @@ class WeightedMinHash(Sketcher):
                 )
         return out
 
-    def _sketch_batch(
+    def sketch_batch(
         self, matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray
     ) -> SketchBank:
         """Sketch all rows in one record simulation (Section 5 batched).

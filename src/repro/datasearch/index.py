@@ -185,53 +185,33 @@ class SketchIndex:
     def add_all(self, tables: Iterable[Table]) -> None:
         """Index many tables through byte-budgeted batch sketching passes.
 
-        Tables are grouped into chunks capped by the ingest byte budget
-        (``REPRO_INGEST_CHUNK_BYTES``; see
-        :func:`repro.parallel.executor.chunk_budget_bytes`) and each
-        chunk goes through one ``sketch_batch`` call — the matrix-in,
-        bank-out fast path — so peak memory is bounded by the budget,
-        not the lake.  Chunking is invisible in the result: every bank
-        row is a pure function of ``(sketcher, row)``.
+        Tables are grouped by the streaming ingest's chunk planner
+        (:func:`repro.parallel.streaming.plan_table_chunks`, capped by
+        ``REPRO_INGEST_CHUNK_BYTES``) and each chunk is encoded with
+        :func:`~repro.parallel.streaming.chunk_matrix` and sketched by
+        one ``sketch_batch`` call, so peak memory is bounded by the
+        budget, not the lake.  Chunking is invisible in the result:
+        every bank row is a pure function of ``(sketcher, row)``.
         """
         # Function-level import: repro.parallel pulls in the streaming
         # pipeline, whose store imports would cycle back into this
         # module at package-init time.
-        from repro.parallel.executor import chunk_budget_bytes
+        from repro.parallel.streaming import (
+            SourceTable,
+            chunk_matrix,
+            plan_spans,
+            plan_table_chunks,
+        )
 
         tables = list(tables)
-        if not tables:
-            return
-        budget = chunk_budget_bytes()
-        chunk: list[Table] = []
-        chunk_bytes = 0
-        for table in tables:
-            est = (1 + 2 * len(table.columns)) * max(table.num_rows, 1) * 16
-            if chunk and chunk_bytes + est > budget:
-                self._add_chunk(chunk)
-                chunk, chunk_bytes = [], 0
-            chunk.append(table)
-            chunk_bytes += est
-        if chunk:
-            self._add_chunk(chunk)
-
-    def _add_chunk(self, tables: Sequence[Table]) -> None:
-        """One batch sketching pass over a chunk of tables."""
-        vectors: list = []
-        spans: list[tuple[Table, tuple[str, ...], int, int]] = []
-        for table in tables:
-            encoded = self.encode_table(table)
-            spans.append(
-                (
-                    table,
-                    tuple(table.columns),
-                    len(vectors),
-                    len(vectors) + len(encoded),
+        sources = [SourceTable.from_table(table) for table in tables]
+        for start, end in plan_table_chunks(sources):
+            chunk = tables[start:end]
+            bank = self.sketcher.sketch_batch(chunk_matrix(chunk))
+            for table, (lo, hi) in zip(chunk, plan_spans(sources[start:end])):
+                self._set_entry(
+                    self._entry_from_bank(table, tuple(table.columns), bank[lo:hi])
                 )
-            )
-            vectors.extend(encoded)
-        bank = self.sketcher.sketch_batch(vectors)
-        for table, columns, lo, hi in spans:
-            self._set_entry(self._entry_from_bank(table, columns, bank[lo:hi]))
 
     # ------------------------------------------------------------------
     # columnar views

@@ -93,7 +93,6 @@ def run_sweep(
     methods: Sequence[str] = PAPER_METHODS,
     seed: int = 0,
     registry: Mapping[str, MethodSpec] | None = None,
-    workers: int | None = None,
     candidates: str = "scan",
     lsh_target_sim: float = 0.5,
     lsh_target_recall: float = 0.95,
@@ -104,10 +103,6 @@ def run_sweep(
     specific seed and sketches every pair with it — mirroring a real
     deployment where a single sketch configuration serves the whole
     corpus.  Returns one :class:`ErrorRecord` per estimate.
-
-    ``workers`` fans each cell's ``sketch_batch`` out over that many
-    processes (:mod:`repro.parallel`); records are bit-identical for
-    any worker count.
 
     ``candidates`` mirrors the serving-side knob: ``"scan"`` (default)
     estimates every pair; ``"lsh"`` estimates only the pairs that
@@ -145,7 +140,7 @@ def run_sweep(
         for storage in storages:
             for trial in range(trials):
                 sketcher = spec.build(storage, seed * 7919 + trial)
-                bank = sketcher.sketch_batch(unique_vectors, workers=workers)
+                bank = sketcher.sketch_batch(unique_vectors)
                 sketches = sketcher.bank_to_sketches(bank)
                 shortlists = None
                 if candidates == "lsh" and sketcher.signature_length() is not None:

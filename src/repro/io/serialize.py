@@ -358,14 +358,14 @@ def unpack_sketch(payload: bytes) -> Any:
 
 
 def pack_bank(bank: SketchBank) -> bytes:
-    """Serialize a :class:`~repro.core.bank.SketchBank` losslessly.
+    """Serialize a columnar :class:`~repro.core.bank.SketchBank` losslessly.
 
     Unlike the per-sketch wire format, bank columns are written as raw
     arrays without hash quantization: a bank is the *index-side* store,
     and a round trip must reproduce bit-identical ``estimate_many``
     results.  A JSON header records kind, comparability params, and the
-    column layout; object-dtype columns (generic fallback banks) nest
-    the per-sketch format with length prefixes.
+    column layout.  Object-dtype columns (the in-memory fallback of
+    sketchers without a ``bank_layout``) are refused.
     """
     header: dict[str, Any] = {
         "kind": bank.kind,
@@ -375,26 +375,20 @@ def pack_bank(bank: SketchBank) -> bytes:
     }
     blobs: list[bytes] = []
     for name in sorted(bank.columns):
-        array = bank.columns[name]
-        if array.dtype == object:
-            packed = [pack_sketch(obj) for obj in array]
-            header["columns"].append(
-                {"name": name, "dtype": "object", "shape": [len(packed)]}
+        contiguous = np.ascontiguousarray(bank.columns[name])
+        if contiguous.dtype == object:
+            raise SerializationError(
+                f"cannot serialize object-dtype column {name!r} of a "
+                f"{bank.kind!r} bank; only fixed-layout banks persist"
             )
-            blobs.append(struct.pack("<I", len(packed)))
-            for payload in packed:
-                blobs.append(struct.pack("<I", len(payload)))
-                blobs.append(payload)
-        else:
-            contiguous = np.ascontiguousarray(array)
-            header["columns"].append(
-                {
-                    "name": name,
-                    "dtype": contiguous.dtype.str,
-                    "shape": list(contiguous.shape),
-                }
-            )
-            blobs.append(contiguous.tobytes())
+        header["columns"].append(
+            {
+                "name": name,
+                "dtype": contiguous.dtype.str,
+                "shape": list(contiguous.shape),
+            }
+        )
+        blobs.append(contiguous.tobytes())
     meta = json.dumps(header, separators=(",", ":")).encode("utf-8")
     return b"".join([_header(_KIND_BANK), struct.pack("<I", len(meta)), meta, *blobs])
 
@@ -406,7 +400,10 @@ def unpack_bank(payload: bytes | memoryview, copy: bool = True) -> SketchBank:
     ``payload`` (zero-copy) — the load path :class:`repro.store.LakeStore`
     uses to open shard files without materializing the arrays twice.
     The caller must keep the backing buffer alive for the bank's
-    lifetime; object-dtype columns are always materialized.
+    lifetime.  Object-dtype columns — nested per-sketch payloads, which
+    older writers produced for ICWS, priority-sampling and b-bit banks
+    — still decode (always materialized); a store repacks them through
+    the sketcher's ``pack_bank`` on load.
     """
     kind, body = _check_header(payload)
     if kind != _KIND_BANK:

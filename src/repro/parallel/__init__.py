@@ -1,37 +1,27 @@
-"""Parallel ingest engine: chunked, deterministic batch sketching."""
+"""Streaming ingest engine: chunked, deterministic, optionally pooled."""
 
-from repro.parallel.executor import (
-    ParallelSketcher,
-    chunk_budget_bytes,
-    map_chunks,
-    parallel_sketch_batch,
-    row_chunks,
-    shutdown_pools,
-)
 from repro.parallel.streaming import (
     IngestReport,
     SourceTable,
+    chunk_budget_bytes,
     chunk_matrix,
     effective_workers,
     plan_shard,
     plan_spans,
     plan_table_chunks,
+    shutdown_pools,
     stream_sources,
 )
 
 __all__ = [
     "IngestReport",
-    "ParallelSketcher",
     "SourceTable",
     "chunk_budget_bytes",
     "chunk_matrix",
     "effective_workers",
-    "map_chunks",
-    "parallel_sketch_batch",
     "plan_shard",
     "plan_spans",
     "plan_table_chunks",
-    "row_chunks",
     "shutdown_pools",
     "stream_sources",
 ]

@@ -1,19 +1,19 @@
 """Streaming ingest: fused parse → vectorize → sketch over byte-budgeted chunks.
 
-The one-shot ingest path materializes every table, encodes the whole
-batch into one lake-sized ``SparseMatrix``, and runs one giant
-``sketch_batch`` — peak memory grows with the lake, and fanning the
-batch out to a process pool ships every resulting ``SketchBank`` back
-through a pickle round-trip.  This module restructures that into a
-pipeline with bounded memory and no result pickling:
+The one ingest path of the lake store.  A one-shot ingest would
+materialize every table, encode the whole batch into one lake-sized
+``SparseMatrix`` and run one giant ``sketch_batch`` — peak memory would
+grow with the lake, and fanning the batch out to a process pool would
+ship every resulting bank back through a pickle round-trip.  This
+module is instead a pipeline with bounded memory and no result
+pickling:
 
 1. a **chunk planner** slices the incoming table list into contiguous
-   chunks capped by the ingest byte budget
-   (:func:`repro.parallel.executor.chunk_budget_bytes`);
+   chunks capped by the ingest byte budget (:func:`chunk_budget_bytes`);
 2. a **fused chunk stage** loads (or parses) only that chunk's tables,
    encodes them straight into one chunk CSR matrix (one vectorized
    hash pass per table, no intermediate ``SparseVector`` churn), and
-   runs the sketcher's serial batch kernel — WMH's process-wide minima
+   runs the sketcher's ``sketch_batch`` — WMH's process-wide minima
    cache stays warm across chunks, so shared blocks still cost one
    simulation;
 3. chunk banks are written **in place** into a pre-sized shard file at
@@ -25,16 +25,24 @@ pipeline with bounded memory and no result pickling:
 
 Chunking and worker count are invisible in the output: bank rows are
 pure functions of ``(sketcher, row)``, and the file layout is planned
-up front, so a streamed shard is byte-identical to the one-shot path
-at any chunk size and any worker count.
+up front from the sketcher's ``bank_layout()`` (every storable kind has
+one), so a streamed shard is byte-identical to
+``pack_shard(sketcher.sketch_batch(...))`` at any chunk size and any
+worker count.
+
+Worker processes live in pools that persist across calls (one pool per
+worker count), so per-process state — most importantly the Weighted
+MinHash minima cache — stays warm across successive lake appends
+instead of being rebuilt per batch.
 """
 
 from __future__ import annotations
 
+import atexit
 import mmap
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -42,7 +50,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro import faults, obs
-from repro.core.bank import SketchBank
 from repro.core.base import Sketcher
 from repro.datasearch.table import Table
 from repro.datasearch.vectorize import table_row_arrays
@@ -51,18 +58,19 @@ from repro.io.serialize import (
     shard_stream_plan,
     write_chunk_rows,
 )
-from repro.parallel.executor import _discard_pool, _get_pool, chunk_budget_bytes
 from repro.vectors.sparse import SparseMatrix
 
 __all__ = [
     "NO_CLAMP_ENV",
     "IngestReport",
     "SourceTable",
+    "chunk_budget_bytes",
     "chunk_matrix",
     "effective_workers",
     "plan_shard",
     "plan_spans",
     "plan_table_chunks",
+    "shutdown_pools",
     "stream_sources",
 ]
 
@@ -70,6 +78,16 @@ __all__ = [
 #: :func:`effective_workers` — used by determinism tests to exercise
 #: real pools on single-core hosts.
 NO_CLAMP_ENV = "REPRO_INGEST_NO_CLAMP"
+
+#: Environment knob for the per-chunk byte budget used by streaming
+#: ingest and ``SketchIndex.add_all`` (see :func:`chunk_budget_bytes`).
+CHUNK_BYTES_ENV = "REPRO_INGEST_CHUNK_BYTES"
+
+#: Default per-chunk byte budget: large enough that per-chunk overhead
+#: (meta passes, pool round-trips) is negligible and within-chunk
+#: deduplication stays effective, small enough that a handful of
+#: in-flight chunks keeps peak RSS bounded regardless of lake size.
+DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 
 #: Estimated bytes one table row contributes to a chunk's transient
 #: footprint: int64 index + float64 value per CSR entry, across the
@@ -86,6 +104,47 @@ FP_STREAM_CHUNK = faults.register(
 FP_STREAM_DRAIN = faults.register(
     "parallel.stream.drain", "in the pooled drain loop, before each wait"
 )
+
+
+def chunk_budget_bytes(override: int | None = None) -> int:
+    """The per-chunk byte budget for ingest chunking.
+
+    ``override`` (an explicit API/CLI value) wins, then the
+    ``REPRO_INGEST_CHUNK_BYTES`` environment variable, then
+    :data:`DEFAULT_CHUNK_BYTES`.  Always at least 1: the budget caps
+    chunk *size*, never drops work.
+    """
+    if override is None:
+        raw = os.environ.get(CHUNK_BYTES_ENV, "")
+        override = int(raw) if raw.strip() else DEFAULT_CHUNK_BYTES
+    return max(int(override), 1)
+
+
+_POOLS: dict[int, ProcessPoolExecutor] = {}
+
+
+def _get_pool(workers: int) -> ProcessPoolExecutor:
+    pool = _POOLS.get(workers)
+    if pool is None:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        _POOLS[workers] = pool
+    return pool
+
+
+def _discard_pool(workers: int) -> None:
+    pool = _POOLS.pop(workers, None)
+    if pool is not None:
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
+def shutdown_pools() -> None:
+    """Tear down every cached worker pool (registered via ``atexit``)."""
+    for pool in _POOLS.values():
+        pool.shutdown(wait=False, cancel_futures=True)
+    _POOLS.clear()
+
+
+atexit.register(shutdown_pools)
 
 
 @dataclass(frozen=True)
@@ -229,28 +288,14 @@ def plan_table_chunks(
 
 def plan_shard(
     sketcher: Sketcher, sources: Sequence[SourceTable]
-) -> ShardStreamPlan | None:
-    """The pre-sized shard layout for these sources, if streamable.
-
-    ``None`` when the sketcher has no fixed bank layout (object-bank
-    methods), or when it is a sketcher-shaped wrapper that does not
-    expose the private bank hooks — callers then fall back to
-    materialize-and-concat.
-    """
-    try:
-        layout = sketcher.bank_layout()
-        params = sketcher._bank_params()
-    except AttributeError:
-        return None
-    if layout is None:
-        return None
-    total_rows = sum(source.bank_rows for source in sources)
+) -> ShardStreamPlan:
+    """The pre-sized shard layout for these sources."""
     return shard_stream_plan(
         sketcher.name,
-        params,
+        sketcher._bank_params(),
         float(sketcher.storage_words()),
-        layout,
-        total_rows,
+        sketcher.bank_layout(),
+        sum(source.bank_rows for source in sources),
     )
 
 
@@ -284,8 +329,8 @@ class _ChunkTask:
     sketcher: Sketcher
     sources: tuple[SourceTable, ...]
     row_offset: int
-    tmp_path: str | None  # None: return the bank instead of writing
-    plan: ShardStreamPlan | None
+    tmp_path: str
+    plan: ShardStreamPlan
     collect_metrics: bool = False  # record a registry snapshot per chunk
 
 
@@ -296,7 +341,6 @@ class _ChunkOutput:
     num_rows: tuple[int, ...]  # per source table, post-aggregation
     chunk_bytes: int
     seconds: dict[str, float]
-    bank: SketchBank | None  # only when the task had no shard target
     input_rows: int = 0
     nnz: int = 0
     bank_bytes: int = 0
@@ -304,7 +348,7 @@ class _ChunkOutput:
 
 
 def _run_chunk(task: _ChunkTask) -> _ChunkOutput:
-    """Parse → vectorize → sketch (→ write) one chunk.
+    """Parse → vectorize → sketch → write one chunk.
 
     Runs in the driver (serial mode) or a pool worker.  When
     ``task.collect_metrics`` is set, per-stage counters and latency
@@ -330,24 +374,20 @@ def _run_chunk(task: _ChunkTask) -> _ChunkOutput:
         t1 = time.perf_counter()
         matrix = chunk_matrix(tables)
         t2 = time.perf_counter()
-        bank = task.sketcher._sketch_batch(matrix)
+        bank = task.sketcher.sketch_batch(matrix)
         t3 = time.perf_counter()
         expected = sum(source.bank_rows for source in task.sources)
         if len(bank) != expected:
             raise ValueError(
                 f"chunk sketched {len(bank)} bank rows, planned {expected}"
             )
-        if task.tmp_path is not None:
-            with open(task.tmp_path, "r+b") as handle:
-                mapped = mmap.mmap(handle.fileno(), task.plan.file_size)
-                try:
-                    write_chunk_rows(mapped, task.plan, bank, task.row_offset)
-                    mapped.flush()
-                finally:
-                    mapped.close()
-            out_bank = None
-        else:
-            out_bank = bank
+        with open(task.tmp_path, "r+b") as handle:
+            mapped = mmap.mmap(handle.fileno(), task.plan.file_size)
+            try:
+                write_chunk_rows(mapped, task.plan, bank, task.row_offset)
+                mapped.flush()
+            finally:
+                mapped.close()
         t4 = time.perf_counter()
         input_rows = sum(table.num_rows for table in tables)
         nnz = int(matrix.nnz)
@@ -377,7 +417,6 @@ def _run_chunk(task: _ChunkTask) -> _ChunkOutput:
         num_rows=tuple(table.num_rows for table in tables),
         chunk_bytes=chunk_bytes,
         seconds=seconds,
-        bank=out_bank,
         input_rows=input_rows,
         nnz=nnz,
         bank_bytes=bank_bytes,

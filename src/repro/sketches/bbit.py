@@ -21,10 +21,11 @@ replaces the value-augmented sketches used for general inner products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core.bank import SketchBank
 from repro.core.base import Sketcher
 from repro.hashing.universal import TwoWiseHashFamily, fold_to_domain
 from repro.vectors.sparse import SparseVector
@@ -105,6 +106,40 @@ class BbitMinHash(Sketcher):
 
     def _bank_params(self) -> dict[str, Any]:
         return {"m": self.m, "b": self.b, "seed": self.seed}
+
+    def bank_layout(self) -> dict[str, tuple[tuple[int, ...], str]]:
+        return {"bits": ((self.m,), "<u8"), "support_sizes": ((), "<i8")}
+
+    def pack_bank(self, sketches: Sequence[BbitSketch]) -> SketchBank:
+        for sketch in sketches:
+            self._require(
+                sketch.m == self.m and sketch.b == self.b and sketch.seed == self.seed,
+                f"query sketch (m={sketch.m}, b={sketch.b}, seed={sketch.seed}) "
+                f"does not match sketcher (m={self.m}, b={self.b}, seed={self.seed})",
+            )
+        return SketchBank(
+            kind=self.name,
+            params=self._bank_params(),
+            columns={
+                "bits": np.array([s.bits for s in sketches], np.uint64).reshape(
+                    len(sketches), self.m
+                ),
+                "support_sizes": np.array(
+                    [s.support_size for s in sketches], np.int64
+                ),
+            },
+            words_per_sketch=self.storage_words(),
+        )
+
+    def bank_row(self, bank: SketchBank, i: int) -> BbitSketch:
+        self._check_bank(bank)
+        return BbitSketch(
+            bits=bank.columns["bits"][i],
+            support_size=int(bank.columns["support_sizes"][i]),
+            m=self.m,
+            b=self.b,
+            seed=self.seed,
+        )
 
     def estimate_jaccard(self, sketch_a: BbitSketch, sketch_b: BbitSketch) -> float:
         """Collision-corrected Jaccard estimate, clamped to [0, 1]."""

@@ -164,7 +164,7 @@ class CountSketch(Sketcher):
             seed=self.seed,
         )
 
-    def _sketch_batch(
+    def sketch_batch(
         self, matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray
     ) -> SketchBank:
         """Accumulate all rows' tables from one hash pass.

@@ -34,10 +34,11 @@ observed match rate — the "jaccard" estimator variant of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core.bank import SketchBank
 from repro.core.base import WORDS_PER_SAMPLE_SAMPLING, Sketcher
 from repro.core.estimator import estimate_weighted_union_from_jaccard
 from repro.hashing.splitmix import counter_uniform, derive_key_grid, mix64
@@ -138,17 +139,52 @@ class ICWS(Sketcher):
         return self.m
 
     def signature_key(self, sketch: ICWSSketch) -> np.ndarray:
-        """ICWS sample keys — equality certifies a repetition match.
+        """ICWS sample keys — equality certifies a repetition match."""
+        self._check_query(sketch)
+        return sketch.keys
 
-        The generic :meth:`~repro.core.base.Sketcher.signature_keys`
-        stacks these per bank row (ICWS banks are object banks).
-        """
+    def bank_layout(self) -> dict[str, tuple[tuple[int, ...], str]]:
+        return {
+            "keys": ((self.m,), "<u8"),
+            "values": ((self.m,), "<f8"),
+            "norms": ((), "<f8"),
+        }
+
+    def _check_query(self, sketch: ICWSSketch) -> None:
         self._require(
             sketch.m == self.m and sketch.seed == self.seed,
             f"query sketch (m={sketch.m}, seed={sketch.seed}) does not match "
             f"sketcher (m={self.m}, seed={self.seed})",
         )
-        return sketch.keys
+
+    def pack_bank(self, sketches: Sequence[ICWSSketch]) -> SketchBank:
+        for sketch in sketches:
+            self._check_query(sketch)
+        shape = (len(sketches), self.m)
+        return SketchBank(
+            kind=self.name,
+            params=self._bank_params(),
+            columns={
+                "keys": np.array([s.keys for s in sketches], np.uint64).reshape(shape),
+                "values": np.array([s.values for s in sketches], np.float64).reshape(shape),
+                "norms": np.array([s.norm for s in sketches], np.float64),
+            },
+            words_per_sketch=self.storage_words(),
+        )
+
+    def bank_row(self, bank: SketchBank, i: int) -> ICWSSketch:
+        self._check_bank(bank)
+        return ICWSSketch(
+            keys=bank.columns["keys"][i],
+            values=bank.columns["values"][i],
+            norm=float(bank.columns["norms"][i]),
+            m=self.m,
+            seed=self.seed,
+        )
+
+    def signature_keys(self, bank: SketchBank) -> np.ndarray:
+        self._check_bank(bank)
+        return bank.columns["keys"]
 
     def estimate(self, sketch_a: ICWSSketch, sketch_b: ICWSSketch) -> float:
         self._require(

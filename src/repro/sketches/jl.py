@@ -129,7 +129,7 @@ class JohnsonLindenstrauss(Sketcher):
             projection=bank.columns["projections"][i], m=self.m, seed=self.seed
         )
 
-    def _sketch_batch(
+    def sketch_batch(
         self, matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray
     ) -> SketchBank:
         """Project all rows, deriving each distinct column of ``Π`` once.

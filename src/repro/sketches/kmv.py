@@ -190,7 +190,7 @@ class KMinimumValues(Sketcher):
             exact=bool(bank.columns["exact"][i]),
         )
 
-    def _sketch_batch(
+    def sketch_batch(
         self, matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray
     ) -> SketchBank:
         """Sketch all rows with one hash pass over the distinct indices.

@@ -160,7 +160,7 @@ class MinHash(Sketcher):
             seed=self.seed,
         )
 
-    def _sketch_batch(
+    def sketch_batch(
         self, matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray
     ) -> SketchBank:
         """Sketch all rows with one hash pass over the distinct indices.

@@ -32,7 +32,7 @@ WMH's behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -130,7 +130,61 @@ class PrioritySampling(Sketcher):
     def _bank_params(self) -> dict[str, Any]:
         return {"k": self.k, "seed": self.seed}
 
-    def _sketch_batch(self, matrix: Any) -> SketchBank:
+    def bank_layout(self) -> dict[str, tuple[tuple[int, ...], str]]:
+        return {
+            "indices": ((self.k,), "<i8"),
+            "values": ((self.k,), "<f8"),
+            "weights": ((self.k,), "<f8"),
+            "counts": ((), "<i8"),
+            "thresholds": ((), "<f8"),
+        }
+
+    def pack_bank(self, sketches: Sequence[PrioritySketch]) -> SketchBank:
+        """Zero-padded ``(N, k)`` sample columns plus per-row counts."""
+        count = len(sketches)
+        indices = np.zeros((count, self.k), dtype=np.int64)
+        values = np.zeros((count, self.k))
+        weights = np.zeros((count, self.k))
+        counts = np.zeros(count, dtype=np.int64)
+        thresholds = np.zeros(count)
+        for i, sketch in enumerate(sketches):
+            self._require(
+                sketch.k == self.k and sketch.seed == self.seed,
+                f"query sketch (k={sketch.k}, seed={sketch.seed}) does not "
+                f"match sketcher (k={self.k}, seed={self.seed})",
+            )
+            stored = sketch.indices.size
+            indices[i, :stored] = sketch.indices
+            values[i, :stored] = sketch.values
+            weights[i, :stored] = sketch.weights
+            counts[i] = stored
+            thresholds[i] = sketch.threshold
+        return SketchBank(
+            kind=self.name,
+            params=self._bank_params(),
+            columns={
+                "indices": indices,
+                "values": values,
+                "weights": weights,
+                "counts": counts,
+                "thresholds": thresholds,
+            },
+            words_per_sketch=self.storage_words(),
+        )
+
+    def bank_row(self, bank: SketchBank, i: int) -> PrioritySketch:
+        self._check_bank(bank)
+        stored = int(bank.columns["counts"][i])
+        return PrioritySketch(
+            indices=bank.columns["indices"][i, :stored],
+            values=bank.columns["values"][i, :stored],
+            weights=bank.columns["weights"][i, :stored],
+            threshold=float(bank.columns["thresholds"][i]),
+            k=self.k,
+            seed=self.seed,
+        )
+
+    def sketch_batch(self, matrix: Any) -> SketchBank:
         """Coordinated sampling of all rows from one uniform derivation.
 
         The coordinated ``u_j`` are a pure function of ``(seed, j)``,

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core.bank import SketchBank
 from repro.core.base import Sketcher
 from repro.hashing.splitmix import counter_uniform, derive_key_grid
 from repro.vectors.sparse import SparseVector
@@ -105,6 +106,37 @@ class SimHash(Sketcher):
 
     def _bank_params(self) -> dict[str, Any]:
         return {"m": self.m, "seed": self.seed}
+
+    def bank_layout(self) -> dict[str, tuple[tuple[int, ...], str]]:
+        return {"bits": ((self.m,), "|b1"), "norms": ((), "<f8")}
+
+    def pack_bank(self, sketches: Sequence[SimHashSketch]) -> SketchBank:
+        for sketch in sketches:
+            self._require(
+                sketch.m == self.m and sketch.seed == self.seed,
+                f"query sketch (m={sketch.m}, seed={sketch.seed}) does not "
+                f"match sketcher (m={self.m}, seed={self.seed})",
+            )
+        return SketchBank(
+            kind=self.name,
+            params=self._bank_params(),
+            columns={
+                "bits": np.array([s.bits for s in sketches], bool).reshape(
+                    len(sketches), self.m
+                ),
+                "norms": np.array([s.norm for s in sketches], np.float64),
+            },
+            words_per_sketch=self.storage_words(),
+        )
+
+    def bank_row(self, bank: SketchBank, i: int) -> SimHashSketch:
+        self._check_bank(bank)
+        return SimHashSketch(
+            bits=bank.columns["bits"][i],
+            norm=float(bank.columns["norms"][i]),
+            m=self.m,
+            seed=self.seed,
+        )
 
     def estimate(self, sketch_a: SimHashSketch, sketch_b: SimHashSketch) -> float:
         self._require(

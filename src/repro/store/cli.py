@@ -86,25 +86,22 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         f"ingested {len(args.csv)} table(s) into shard {shard_id} of "
         f"{args.store} ({stats['tables']} live tables, "
         f"{stats['file_bytes']} bytes on disk)"
+        f"\n  {report.chunks} chunk(s), {report.workers} worker(s), "
+        f"{report.tables_per_s():.1f} tables/s, "
+        f"peak chunk {report.peak_chunk_bytes} bytes"
     )
-    if report is not None:
-        summary += (
-            f"\n  {report.chunks} chunk(s), {report.workers} worker(s), "
-            f"{report.tables_per_s():.1f} tables/s, "
-            f"peak chunk {report.peak_chunk_bytes} bytes"
-        )
-        # Per-stage accounting: each stage's summed seconds with the
-        # unit of work it processed (overlapping stages under pool
-        # workers, so the seconds can exceed wall time).
-        stage_units = {
-            "parse": f"{report.input_rows} rows",
-            "vectorize": f"{report.nnz} entries",
-            "sketch": f"{report.bank_rows} bank rows",
-            "write": f"{report.bank_bytes} bytes",
-        }
-        for stage, seconds in report.stage_seconds.items():
-            units = stage_units.get(stage, "")
-            summary += f"\n  {stage:>9s}: {seconds:8.3f}s  {units}"
+    # Per-stage accounting: each stage's summed seconds with the unit
+    # of work it processed (overlapping stages under pool workers, so
+    # the seconds can exceed wall time).
+    stage_units = {
+        "parse": f"{report.input_rows} rows",
+        "vectorize": f"{report.nnz} entries",
+        "sketch": f"{report.bank_rows} bank rows",
+        "write": f"{report.bank_bytes} bytes",
+    }
+    for stage, seconds in report.stage_seconds.items():
+        units = stage_units.get(stage, "")
+        summary += f"\n  {stage:>9s}: {seconds:8.3f}s  {units}"
     print(summary)
     return 0
 

@@ -10,9 +10,10 @@ that durable substrate:
   **manifest** recording the sketcher configuration, the table catalog
   with per-shard row spans, and tombstones;
 * :meth:`append` sketches *only* the new tables — one
-  ``sketch_batch`` call per batch, never re-sketching existing data —
-  and commits shard-first / manifest-last so a crash can at worst leave
-  an orphaned file the next open ignores;
+  ``sketch_batch`` call per byte-budgeted chunk, streamed into the new
+  shard, never re-sketching existing data — and commits shard-first /
+  manifest-last so a crash can at worst leave an orphaned file the
+  next open ignores;
 * re-ingesting a table name tombstones the old span (shards are
   immutable); :meth:`compact` merges all live spans into one fresh
   shard and reclaims the dead rows;
@@ -81,7 +82,7 @@ from repro.store.shard import (
     SHARD_SUFFIX,
     ShardStreamWriter,
     index_filename,
-    read_shard,
+    load_shard,
     shard_filename,
     write_bytes_atomic,
     write_shard,
@@ -326,8 +327,7 @@ class LakeStore:
                             f"open {path}: manifest references missing shard "
                             f"{shard.filename}"
                         )
-                    bank, buffer = read_shard(shard_path, zero_copy=zero_copy)
-                    sketcher._check_bank(bank)
+                    bank, buffer = load_shard(shard_path, sketcher, zero_copy)
                 except (StoreError, SerializationError) as exc:
                     if not salvage:
                         if isinstance(exc, StoreError):
@@ -605,7 +605,7 @@ class LakeStore:
         index: bool = True,
         chunk_bytes: int | None = None,
         lock_timeout: float | None = None,
-    ) -> tuple[int | None, IngestReport | None]:
+    ) -> tuple[int | None, IngestReport]:
         """Stream CSV files into one shard without materializing them.
 
         Only each file's header is read up front (for planning); bodies
@@ -632,22 +632,23 @@ class LakeStore:
         index: bool = True,
         chunk_bytes: int | None = None,
         lock_timeout: float | None = None,
-    ) -> tuple[int | None, IngestReport | None]:
+    ) -> tuple[int | None, IngestReport]:
         """Stream lazily-loadable sources into one shard.
 
-        The workhorse behind :meth:`append` and :meth:`ingest_csv`:
-        plans the shard layout from the source metadata, streams every
+        The one ingest path, behind :meth:`append` and
+        :meth:`ingest_csv`: plans the shard layout from the source
+        metadata and the sketcher's ``bank_layout()``, streams every
         source through the fused parse → vectorize → sketch chunk stage
         straight into the pre-sized shard file, and commits
         shard-first / manifest-last.  Returns ``(shard_id, report)``;
         the report carries per-stage timings and the peak chunk
-        footprint (``None`` for sketchers without a fixed bank layout,
-        which take the materialize-everything fallback).
+        footprint.  An empty batch writes nothing and returns
+        ``(None, IngestReport())``.
         """
         self._check_writable("append")
         sources = list(sources)
         if not sources:
-            return None, None
+            return None, IngestReport()
         names = [source.name for source in sources]
         if len(set(names)) != len(names):
             raise StoreError(
@@ -657,12 +658,6 @@ class LakeStore:
 
         obs.count("store.appends")
         plan = plan_shard(self.sketcher, sources)
-        if plan is None:
-            with obs.trace_span("store.append", tables=len(sources), streamed=False):
-                return (
-                    self._append_materialized(sources, workers, index, lock_timeout),
-                    None,
-                )
 
         # The writer lock is taken before streaming begins: the stream
         # writes the next shard's temp file, and two uncoordinated
@@ -670,7 +665,7 @@ class LakeStore:
         # interrupt scope turns SIGTERM into an exception so the abort
         # path below always runs and no temp file outlives the process.
         with obs.trace_span(
-            "store.append", tables=len(sources), streamed=True
+            "store.append", tables=len(sources)
         ), _deliver_sigterm_as_interrupt(), self._writer_lock(
             lock_timeout, op="append"
         ):
@@ -696,7 +691,9 @@ class LakeStore:
             # Serve the shard we just wrote through the usual read
             # path (zero-copy views by default) — the lake's resident
             # footprint stays bounded even right after ingest.
-            bank, buffer = read_shard(self.path / filename, zero_copy=self._zero_copy)
+            bank, buffer = load_shard(
+                self.path / filename, self.sketcher, self._zero_copy
+            )
             spans = [
                 TableSpan(
                     name=source.name,
@@ -714,51 +711,6 @@ class LakeStore:
             )
         self._finish_append(shard_id, bank, buffer, spans, stale_index)
         return shard_id, report
-
-    def _append_materialized(
-        self,
-        sources: Sequence[SourceTable],
-        workers: int | None,
-        index: bool,
-        lock_timeout: float | None = None,
-    ) -> int:
-        """One-shot append for sketchers without a fixed bank layout.
-
-        Object-bank methods (and sketcher-shaped wrappers) cannot be
-        assembled at byte offsets, so this path keeps the original
-        materialize → encode → one ``sketch_batch`` → pack flow.
-        """
-        tables = [source.loader() for source in sources]
-        vectors: list = []
-        spans: list[TableSpan] = []
-        for table in tables:
-            encoded = SketchIndex.encode_table(table)
-            spans.append(
-                TableSpan(
-                    name=table.name,
-                    num_rows=table.num_rows,
-                    columns=tuple(table.columns),
-                    lo=len(vectors),
-                    hi=len(vectors) + len(encoded),
-                )
-            )
-            vectors.extend(encoded)
-        # Only forward workers when set: sketcher-shaped objects whose
-        # sketch_batch predates the parameter keep working serially.
-        if workers is None:
-            bank = self.sketcher.sketch_batch(vectors)
-        else:
-            bank = self.sketcher.sketch_batch(vectors, workers=workers)
-
-        with self._writer_lock(lock_timeout, op="append"):
-            shard_id = self._manifest.next_shard_id
-            filename = shard_filename(shard_id)
-            write_shard(self.path / filename, bank)
-            stale_index = self._commit_shard_locked(
-                shard_id, filename, spans, bank, index
-            )
-        self._finish_append(shard_id, bank, None, spans, stale_index)
-        return shard_id
 
     def _commit_shard_locked(
         self,

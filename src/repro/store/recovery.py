@@ -58,7 +58,7 @@ from repro.store.manifest import (
 from repro.store.shard import (
     SHARD_SUFFIX,
     index_filename,
-    read_shard,
+    load_shard,
     write_bytes_atomic,
 )
 
@@ -91,19 +91,17 @@ def _load_any_manifest(path: Path) -> tuple[Manifest, bool]:
             raise primary from None
 
 
-def _verify_shard(
-    shard_path: Path, sketcher: Sketcher, zero_copy: bool = False
-) -> SketchBank:
-    """Read one shard fully and check CRC + sketcher compatibility.
+def _verify_shard(shard_path: Path, sketcher: Sketcher) -> SketchBank:
+    """Read one shard fully and check CRC, configuration and layout.
 
     Raises :class:`StoreError` (missing), :class:`SerializationError`
-    (torn/corrupt payload), or :class:`SketchMismatchError` (bank does
-    not belong to this sketcher).
+    (torn/corrupt payload, or columns that do not match the sketcher's
+    bank layout), or :class:`SketchMismatchError` (bank does not belong
+    to this sketcher).
     """
     if not shard_path.is_file():
         raise _lake().StoreError(f"missing shard {shard_path.name}")
-    bank, _ = read_shard(shard_path, zero_copy=zero_copy)
-    sketcher._check_bank(bank)
+    bank, _ = load_shard(shard_path, sketcher, zero_copy=False)
     return bank
 
 

@@ -13,7 +13,10 @@ temp file, which opens ignore (the manifest never references it).
 Reads default to **zero-copy**: the file is memory-mapped and the
 returned bank's columns are read-only views into the map, so opening a
 multi-gigabyte lake costs page-table setup, not a byte-for-byte copy;
-pages fault in lazily as queries touch them.
+pages fault in lazily as queries touch them.  :func:`load_shard` is the
+one store-side loader: it also checks the bank against the sketcher's
+configuration and column layout, and repacks shards written with the
+older object-column format.
 """
 
 from __future__ import annotations
@@ -25,9 +28,13 @@ import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from repro import faults, obs
-from repro.core.bank import SketchBank
+from repro.core.bank import OBJECT_COLUMN, SketchBank
+from repro.core.base import Sketcher
 from repro.io.serialize import (
+    SerializationError,
     ShardStreamPlan,
     pack_shard,
     unpack_shard,
@@ -78,6 +85,7 @@ __all__ = [
     "write_chunk_rows",
     "write_shard",
     "read_shard",
+    "load_shard",
 ]
 
 #: Extension of shard (and LSH-index) files inside a lake directory.
@@ -226,3 +234,44 @@ def read_shard(
     payload = path.read_bytes()
     obs.count("store.shard_bytes_read", len(payload))
     return unpack_shard(payload, copy=True), None
+
+
+def load_shard(
+    path: Path, sketcher: Sketcher, zero_copy: bool = True
+) -> tuple[SketchBank, mmap.mmap | None]:
+    """Read one shard as a columnar bank of ``sketcher``'s layout.
+
+    The shared loader of lake open, the post-append re-read, ``fsck``
+    and ``repair``.  Beyond :func:`read_shard`'s CRC check it refuses a
+    bank of another kind or configuration
+    (:class:`~repro.core.base.SketchMismatchError`) and a bank whose
+    column names, row shapes or dtypes differ from
+    ``sketcher.bank_layout()`` (:class:`SerializationError`).  A shard
+    in the older object-column format (nested per-sketch payloads) is
+    repacked in memory through ``sketcher.pack_bank``; the returned map
+    is then ``None``, as nothing views it.
+    """
+    bank, buffer = read_shard(path, zero_copy=zero_copy)
+    sketcher._check_bank(bank)
+    if bank.is_object_bank():
+        try:
+            bank = sketcher.pack_bank(list(bank.columns[OBJECT_COLUMN]))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SerializationError(
+                f"{path.name}: cannot repack object-column bank: {exc}"
+            ) from exc
+        buffer = None
+    found = {
+        name: (list(array.shape[1:]), array.dtype.str)
+        for name, array in bank.columns.items()
+    }
+    expected = {
+        name: (list(shape), np.dtype(dtype).str)
+        for name, (shape, dtype) in sketcher.bank_layout().items()
+    }
+    if found != expected:
+        raise SerializationError(
+            f"{path.name}: bank columns {found} do not match the "
+            f"{sketcher.name} layout {expected}"
+        )
+    return bank, buffer

@@ -1,47 +1,26 @@
-"""Parallel ingest engine: determinism and executor contracts.
+"""Pooled ingest determinism at the store level.
 
 The load-bearing claim of :mod:`repro.parallel` is that the worker
-count is *invisible* in the output: sketch banks, store manifests and
-shard bytes, and search rankings are bit-identical for ``workers`` =
-1, 2, 4 — parallelism buys wall-clock time, never a different lake.
+count is *invisible* in the output: store manifests and shard bytes,
+and search rankings are bit-identical for ``workers`` = 1, 2, 4 —
+parallelism buys wall-clock time, never a different lake.  (Per-kind
+byte identity across chunk budgets and real pools, and broken-pool
+recovery, live in ``test_streaming.py``.)
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.datasearch.table import Table
 from repro.experiments.runner import method_registry
-from repro.parallel import (
-    ParallelSketcher,
-    map_chunks,
-    parallel_sketch_batch,
-    row_chunks,
-)
 from repro.store import LakeStore, QuerySession
-from repro.vectors.sparse import SparseMatrix, SparseVector
 
 WORKER_COUNTS = (1, 2, 4)
-
-#: Sketchers exercised end to end through the executor (covers the
-#: columnar kernels, the linear sketches, and an object-bank method).
-METHOD_NAMES = ("WMH", "MH", "KMV", "JL", "CS", "PS")
 
 
 def build(name: str, seed: int = 3):
     return method_registry()[name].build(120, seed)
-
-
-def make_corpus(rows: int = 40, seed: int = 0) -> SparseMatrix:
-    rng = np.random.default_rng(seed)
-    vectors = []
-    for i in range(rows):
-        nnz = int(rng.integers(5, 60))
-        indices = rng.choice(800, size=nnz, replace=False)
-        vectors.append(SparseVector(indices, rng.normal(size=nnz), n=800))
-    vectors[7] = SparseVector.zero()  # empty row inside a chunk
-    return SparseMatrix.from_rows(vectors)
 
 
 def make_tables(count: int = 6, seed: int = 3, rows: int = 60) -> list[Table]:
@@ -63,91 +42,6 @@ def make_query(seed: int = 11, rows: int = 80) -> Table:
     rng = np.random.default_rng(seed)
     keys = [f"k{j}" for j in rng.choice(400, size=rows, replace=False)]
     return Table("query", keys, {"signal": rng.normal(size=rows)})
-
-
-def assert_banks_equal(expected, actual, context: str) -> None:
-    assert sorted(expected.columns) == sorted(actual.columns), context
-    for name in expected.columns:
-        left, right = expected.columns[name], actual.columns[name]
-        if left.dtype == object:
-            assert left.shape == right.shape, context
-            for i, (a, b) in enumerate(zip(left, right)):
-                for field in a.__dataclass_fields__:
-                    ea, eb = getattr(a, field), getattr(b, field)
-                    if isinstance(ea, np.ndarray):
-                        np.testing.assert_array_equal(ea, eb, err_msg=f"{context}[{i}]")
-                    else:
-                        assert ea == eb, f"{context}[{i}].{field}"
-        else:
-            np.testing.assert_array_equal(left, right, err_msg=f"{context}:{name}")
-
-
-class TestExecutorPrimitives:
-    def test_map_chunks_preserves_order_serial_and_parallel(self):
-        items = list(range(23))
-        assert map_chunks(_square, items, workers=None) == [i * i for i in items]
-        assert map_chunks(_square, items, workers=1) == [i * i for i in items]
-        assert map_chunks(_square, items, workers=3) == [i * i for i in items]
-
-    def test_map_chunks_single_item_runs_in_process(self):
-        marker = []
-        assert map_chunks(marker.append, ["x"], workers=4) == [None]
-        assert marker == ["x"]  # would be empty if a worker process ran it
-
-    @pytest.mark.parametrize("num_rows", [0, 1, 7, 8, 9, 100, 101])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_row_chunks_partition_exactly(self, num_rows, workers):
-        spans = row_chunks(num_rows, workers)
-        assert [lo for lo, _ in spans] == sorted({lo for lo, _ in spans})
-        covered = [i for lo, hi in spans for i in range(lo, hi)]
-        assert covered == list(range(num_rows))
-
-    def test_row_chunks_respects_explicit_chunk_rows(self):
-        spans = row_chunks(100, workers=2, chunk_rows=40)
-        assert spans == [(0, 40), (40, 80), (80, 100)]
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestBankDeterminism:
-    @pytest.mark.parametrize("name", METHOD_NAMES)
-    def test_banks_bit_identical_across_worker_counts(self, name):
-        corpus = make_corpus()
-        sketcher = build(name)
-        serial = sketcher.sketch_batch(corpus)
-        for workers in WORKER_COUNTS:
-            bank = sketcher.sketch_batch(corpus, workers=workers)
-            assert_banks_equal(serial, bank, f"{name} workers={workers}")
-
-    def test_parallel_sketch_batch_chunking_invariant(self):
-        corpus = make_corpus(rows=33)
-        sketcher = build("MH")
-        serial = sketcher.sketch_batch(corpus)
-        for chunk_rows in (8, 11, 33):
-            bank = parallel_sketch_batch(
-                sketcher, corpus, workers=2, chunk_rows=chunk_rows
-            )
-            assert_banks_equal(serial, bank, f"chunk_rows={chunk_rows}")
-
-    def test_parallel_sketcher_wrapper_delegates(self):
-        corpus = make_corpus(rows=20)
-        sketcher = build("WMH")
-        wrapper = ParallelSketcher(sketcher, workers=2)
-        assert wrapper.m == sketcher.m  # attribute delegation
-        assert_banks_equal(
-            sketcher.sketch_batch(corpus), wrapper.sketch_batch(corpus), "wrapper"
-        )
-
-    def test_parallel_sketcher_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ParallelSketcher(build("MH"), workers=0)
-
-    def test_empty_matrix_parallel(self):
-        sketcher = build("MH")
-        bank = sketcher.sketch_batch(SparseMatrix.from_rows([]), workers=4)
-        assert len(bank) == 0
 
 
 class TestStoreDeterminism:
@@ -189,40 +83,3 @@ class TestStoreDeterminism:
         assert s_manifest == p_manifest
         serial.close()
         parallel.close()
-
-
-class TestWrapperPickling:
-    def test_parallel_sketcher_pickles_and_copies(self):
-        import copy
-        import pickle
-
-        wrapper = ParallelSketcher(build("WMH"), workers=2)
-        clone = pickle.loads(pickle.dumps(wrapper))
-        assert clone.workers == 2
-        assert clone.sketcher.m == wrapper.sketcher.m
-        duplicate = copy.deepcopy(wrapper)
-        assert duplicate.sketcher.seed == wrapper.sketcher.seed
-
-    def test_getattr_raises_for_missing_attributes(self):
-        wrapper = ParallelSketcher(build("MH"), workers=2)
-        with pytest.raises(AttributeError):
-            wrapper.no_such_attribute
-        with pytest.raises(AttributeError):
-            wrapper._private_probe
-
-
-def _kill_worker(_: int) -> int:
-    import os
-
-    os._exit(1)  # simulates an OOM-killed worker
-
-
-class TestBrokenPoolRecovery:
-    def test_pool_recovers_after_worker_death(self):
-        from concurrent.futures import BrokenExecutor
-
-        with pytest.raises(BrokenExecutor):
-            map_chunks(_kill_worker, [1, 2, 3], workers=2)
-        # The poisoned executor must have been evicted: the same worker
-        # count works again without any manual shutdown_pools() call.
-        assert map_chunks(_square, [1, 2, 3], workers=2) == [1, 4, 9]

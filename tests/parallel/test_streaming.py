@@ -11,12 +11,15 @@ only orphan files every reopen ignores.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.wmh import WeightedMinHash
 from repro.datasearch.index import SketchIndex
+from repro.datasearch.search import DatasetSearch
 from repro.datasearch.table import Table
 from repro.datasearch.vectorize import (
     indicator_vector,
@@ -36,14 +39,16 @@ from repro.parallel.streaming import (
     plan_spans,
     plan_table_chunks,
 )
-from repro.sketches.jl import JohnsonLindenstrauss
+from repro.sketches.minhash import MinHash
 from repro.store import LakeStore, QuerySession, StoreError
+from repro.store.config import SKETCHER_CLASSES
 from repro.store.csvio import csv_source, load_csv_table
 from repro.store.manifest import Manifest
 from repro.store.shard import shard_filename
 
 CHUNK_BUDGETS = (1, 20_000, None)  # 1 table/chunk, a few/chunk, all-in-one
 WORKER_COUNTS = (None, 2, 4)
+KINDS = sorted(SKETCHER_CLASSES)
 
 
 def make_tables(count: int = 9, seed: int = 3, rows: int = 60) -> list[Table]:
@@ -66,6 +71,26 @@ def make_query(seed: int = 42, rows: int = 80) -> Table:
 
 def fresh_sketcher() -> WeightedMinHash:
     return WeightedMinHash(m=32, seed=5, L=1 << 16)
+
+
+def kind_sketcher(kind: str):
+    """A small sketcher of every storable kind (48 words of storage)."""
+    return SKETCHER_CLASSES[kind].from_storage(48, seed=5)
+
+
+def hit_key(hits) -> list[tuple]:
+    """Hits with every float as its exact hex form (NaN compares equal)."""
+    return [
+        (
+            h.table_name,
+            h.column,
+            *(
+                float(x).hex()
+                for x in (h.join_size, h.containment, h.score, h.correlation)
+            ),
+        )
+        for h in hits
+    ]
 
 
 def lake_fingerprint(path) -> dict[str, bytes]:
@@ -189,39 +214,64 @@ class TestByteIdentity:
         # identity claim must hold for *real* pools too.
         monkeypatch.setenv(NO_CLAMP_ENV, "1")
 
-    def build_lake(self, root, tables, chunk_bytes, workers):
-        store = LakeStore.create(root / "lake", fresh_sketcher())
+    def build_lake(self, root, sketcher, tables, chunk_bytes, workers):
+        store = LakeStore.create(root / "lake", sketcher)
         shard_id = store.append(tables, workers=workers, chunk_bytes=chunk_bytes)
-        query = QuerySession(store).search(make_query(), "signal", top_k=5)
         store.close()
-        ranking = [(h.table_name, h.column, h.score) for h in query]
-        return shard_id, lake_fingerprint(root / "lake"), ranking
+        with LakeStore.open(root / "lake") as reopened:
+            hits = QuerySession(reopened).search(make_query(), "signal", top_k=5)
+        return shard_id, lake_fingerprint(root / "lake"), hit_key(hits)
 
-    def test_all_chunkings_and_workers_agree(self, tmp_path):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_all_chunkings_and_workers_agree(self, tmp_path, kind):
+        """Per kind: one shard, byte-identical for every chunk budget
+        and worker count, equal to ``pack_shard(sketch_batch(...))``;
+        the reopened store answers bit-identically to the in-memory
+        ``DatasetSearch`` over the same tables."""
         tables = make_tables()
+        sketcher = kind_sketcher(kind)
+        vectors = [v for t in tables for v in SketchIndex.encode_table(t)]
+        one_shot = pack_shard(sketcher.sketch_batch(vectors))
+        memory = SketchIndex(sketcher)
+        memory.add_all(tables)
+        engine = DatasetSearch(memory)
+        expected = hit_key(
+            engine.search(engine.sketch_query(make_query()), "signal", top_k=5)
+        )
+        assert expected  # the comparison is not vacuous
         fingerprints = {}
-        rankings = set()
         for i, chunk_bytes in enumerate(CHUNK_BUDGETS):
             for j, workers in enumerate(WORKER_COUNTS):
                 root = tmp_path / f"v{i}_{j}"
                 root.mkdir()
-                _, files, ranking = self.build_lake(
-                    root, tables, chunk_bytes, workers
+                shard_id, files, hits = self.build_lake(
+                    root, kind_sketcher(kind), tables, chunk_bytes, workers
                 )
-                fingerprints[(chunk_bytes, workers)] = files
-                rankings.add(tuple(ranking))
+                variant = (chunk_bytes, workers)
+                assert files[shard_filename(shard_id)] == one_shot, variant
+                assert hits == expected, variant
+                fingerprints[variant] = files
         reference = fingerprints[(None, None)]
         for key, files in fingerprints.items():
             assert files == reference, f"variant {key} diverged"
-        assert len(rankings) == 1
 
-    def test_streamed_shard_matches_one_shot_pack(self, tmp_path):
-        tables = make_tables()
-        sketcher = fresh_sketcher()
-        vectors = [v for t in tables for v in SketchIndex.encode_table(t)]
-        reference = pack_shard(sketcher.sketch_batch(vectors))
-        shard_id, files, _ = self.build_lake(tmp_path, tables, 1, 2)
-        assert files[shard_filename(shard_id)] == reference
+    def test_every_storable_kind_streams_columnar_banks(self, tmp_path):
+        tables = make_tables(4)
+        for kind in KINDS:
+            sketcher = kind_sketcher(kind)
+            assert sketcher.bank_layout() is not None, kind
+            store = LakeStore.create(tmp_path / kind, sketcher)
+            _, report = store.append_sources(
+                [SourceTable.from_table(t) for t in tables], chunk_bytes=1
+            )
+            assert report.chunks == len(tables)
+            store.close()
+            with LakeStore.open(tmp_path / kind) as reopened:
+                assert sorted(reopened.table_names()) == sorted(
+                    t.name for t in tables
+                )
+                for bank in reopened._banks.values():
+                    assert not bank.is_object_bank(), kind
 
     def test_multi_append_and_replacement_identity(self, tmp_path):
         tables = make_tables()
@@ -238,20 +288,13 @@ class TestByteIdentity:
             variants.append(lake_fingerprint(root / "lake"))
         assert variants[0] == variants[1]
 
-    def test_object_bank_fallback_still_works(self, tmp_path):
-        # Sketchers without a fixed bank layout take the materialized
-        # path; results must equal the layout-streamed store semantics.
-        tables = make_tables(4)
-        store = LakeStore.create(
-            tmp_path / "lake", JohnsonLindenstrauss(m=16, seed=2)
-        )
-        shard_id = store.append(tables, chunk_bytes=1)
-        assert shard_id is not None
-        assert sorted(store.table_names()) == sorted(t.name for t in tables)
+    def test_empty_batch_reports_nothing(self, tmp_path):
+        store = LakeStore.create(tmp_path / "lake", fresh_sketcher())
+        shard_id, report = store.append_sources([])
+        assert shard_id is None
+        assert report.tables == 0 and report.chunks == 0
+        assert store.append([]) is None
         store.close()
-        reopened = LakeStore.open(tmp_path / "lake")
-        assert sorted(reopened.table_names()) == sorted(t.name for t in tables)
-        reopened.close()
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +363,7 @@ class TestCrashSafety:
         before = lake_fingerprint(tmp_path / "lake")
 
         calls = {"n": 0}
-        original = WeightedMinHash._sketch_batch
+        original = WeightedMinHash.sketch_batch
 
         def failing(self, matrix):
             calls["n"] += 1
@@ -328,10 +371,10 @@ class TestCrashSafety:
                 raise RuntimeError("simulated mid-stream crash")
             return original(self, matrix)
 
-        monkeypatch.setattr(WeightedMinHash, "_sketch_batch", failing)
+        monkeypatch.setattr(WeightedMinHash, "sketch_batch", failing)
         with pytest.raises(RuntimeError, match="mid-stream"):
             store.append(tables[3:], chunk_bytes=1)
-        monkeypatch.setattr(WeightedMinHash, "_sketch_batch", original)
+        monkeypatch.setattr(WeightedMinHash, "sketch_batch", original)
 
         # Nothing committed, the temp file was aborted, and the served
         # state still answers for the original tables.
@@ -407,3 +450,45 @@ class TestCrashSafety:
         # No temp litter from the rejected attempt.
         assert store.orphaned_files() == []
         store.close()
+
+
+class _WorkerKillingMH(MinHash):
+    """MinHash that kills any pool worker sketching with it while ``lethal``.
+
+    The ingesting process (``parent_pid``) sketches normally, so only the
+    pooled path sees the death — like an OOM-killed worker.
+    """
+
+    lethal = False
+    parent_pid = -1
+
+    def sketch_batch(self, matrix):
+        if self.lethal and os.getpid() != self.parent_pid:
+            os._exit(1)
+        return super().sketch_batch(matrix)
+
+
+class TestBrokenPoolRecovery:
+    def test_pooled_append_survives_worker_death(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(NO_CLAMP_ENV, "1")
+        tables = make_tables(6)
+        sketcher = _WorkerKillingMH(m=32, seed=5)
+        store = LakeStore.create(tmp_path / "lake", sketcher)
+        store.append(tables[:2])
+        before = lake_fingerprint(tmp_path / "lake")
+
+        sketcher.lethal, sketcher.parent_pid = True, os.getpid()
+        with pytest.raises(BrokenExecutor):
+            store.append(tables[2:4], workers=2, chunk_bytes=1)
+        # Nothing committed, no temp litter, the old tables still serve.
+        assert lake_fingerprint(tmp_path / "lake") == before
+        assert store.orphaned_files() == []
+        assert sorted(store.table_names()) == ["table0", "table1"]
+
+        # The poisoned pool was evicted: the same worker count works
+        # again without any manual shutdown_pools() call.
+        sketcher.lethal = False
+        store.append(tables[2:], workers=2, chunk_bytes=1)
+        assert len(store) == 6
+        store.close()
+        assert LakeStore.fsck(tmp_path / "lake")["clean"]

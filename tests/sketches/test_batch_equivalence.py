@@ -25,10 +25,9 @@ from repro.vectors.sparse import SparseMatrix, SparseVector
 REGISTRY = method_registry()
 ALL_METHODS = sorted(REGISTRY)
 
-#: Methods whose sketch_batch/estimate_many are truly vectorized (the
-#: rest use the generic object-bank fallback, covered by the same
-#: assertions).
-VECTORIZED = ("WMH", "MH", "KMV", "JL", "CS")
+#: Every storable kind: all pack fixed-layout columnar banks whose rows
+#: rebuild the scalar sketches exactly.
+COLUMNAR = ALL_METHODS + ["bbit"]
 
 
 def build(name: str, storage: int = 300, seed: int = 3):
@@ -64,7 +63,7 @@ class TestBatchEquivalence:
             )
             np.testing.assert_array_equal(batch, loop)
 
-    @pytest.mark.parametrize("name", VECTORIZED)
+    @pytest.mark.parametrize("name", COLUMNAR)
     def test_bank_rows_reconstruct_scalar_sketches(self, name, corpus):
         sketcher = build(name)
         bank = sketcher.sketch_batch(corpus)
@@ -76,6 +75,7 @@ class TestBatchEquivalence:
                 actual = getattr(row, field)
                 if isinstance(expected, np.ndarray):
                     np.testing.assert_array_equal(actual, expected)
+                    assert actual.dtype == expected.dtype, f"{name}.{field}"
                 else:
                     assert actual == expected, f"{name}.{field} differs at row {i}"
 
@@ -89,7 +89,7 @@ class TestBatchEquivalence:
             sketcher.estimate_many(query, bank[2:9]), full[2:9]
         )
 
-    @pytest.mark.parametrize("name", VECTORIZED)
+    @pytest.mark.parametrize("name", COLUMNAR)
     def test_pack_bank_matches_sketch_batch(self, name, corpus):
         sketcher = build(name)
         packed = sketcher.pack_bank([sketcher.sketch(vector) for vector in corpus])
@@ -99,6 +99,17 @@ class TestBatchEquivalence:
             sketcher.estimate_many(query, packed),
             sketcher.estimate_many(query, batch),
         )
+        layout = {
+            column: (tuple(shape), np.dtype(dtype))
+            for column, (shape, dtype) in sketcher.bank_layout().items()
+        }
+        for bank in (packed, batch):
+            assert {
+                column: (array.shape[1:], array.dtype)
+                for column, array in bank.columns.items()
+            } == layout
+        for column in layout:
+            np.testing.assert_array_equal(packed.columns[column], batch.columns[column])
 
 
 class TestStorageContract:

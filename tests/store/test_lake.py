@@ -189,17 +189,17 @@ class TestIncrementalIngest:
 
         reopened = LakeStore.open(tmp_path / "lake")
         calls: list[int] = []
-        original = type(reopened.sketcher)._sketch_batch
+        original = type(reopened.sketcher).sketch_batch
 
         def counting(self, matrix):
             bank = original(self, matrix)
             calls.append(len(bank))
             return bank
 
-        # The streaming append funnels every chunk through the serial
-        # batch kernel; counting there sees all sketched rows whatever
+        # The streaming append funnels every chunk through
+        # sketch_batch; counting there sees all sketched rows whatever
         # the chunking.
-        monkeypatch.setattr(type(reopened.sketcher), "_sketch_batch", counting)
+        monkeypatch.setattr(type(reopened.sketcher), "sketch_batch", counting)
         reopened.append([tables[3]])
         # Rows sized for the ONE new table (1 indicator + 2 values +
         # 2 squares = 5 rows) — stored tables never re-sketch.
