@@ -1,112 +1,18 @@
-"""Segmented reductions for batch sketching.
+"""Row chunking for batch sketching.
 
 Batch sketchers lay the non-zeros of many vectors out as one
 concatenated axis (the CSR layout of
 :class:`~repro.vectors.sparse.SparseMatrix`) and run their per-entry
-work — hashing, record simulation — in a single vectorized pass.  The
-final per-vector reduction (the argmin over each row's blocks that
-Algorithms 1 and 3 take) then needs *segmented* min/argmin over that
-concatenated axis, which numpy expresses with ``ufunc.reduceat``.
-
-The helpers here are deliberately exact mirrors of the scalar
-reductions: ``segmented_min_argmin`` returns, per segment, the same
-minimum float and the same first-position argmin that ``np.min`` /
-``np.argmin`` return on the segment alone, so batch sketches are
-bit-identical to the scalar loop.
+work — hashing, selection — in vectorized passes over groups of whole
+rows.  :func:`chunk_boundaries` picks those groups so each pass's
+working set stays bounded however large the matrix is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["segmented_min_argmin", "segmented_min_argmin_rows", "chunk_boundaries"]
-
-
-def segmented_min_argmin(
-    matrix: np.ndarray, indptr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment minimum and first-argmin along the last axis.
-
-    Parameters
-    ----------
-    matrix:
-        ``(m, total)`` array whose columns are grouped into segments.
-    indptr:
-        ``(num_segments + 1,)`` boundaries; every segment must be
-        non-empty (callers filter empty rows out beforehand).
-
-    Returns
-    -------
-    (mins, argpos):
-        Both ``(m, num_segments)``.  ``mins[r, s]`` equals
-        ``matrix[r, indptr[s]:indptr[s+1]].min()`` exactly and
-        ``argpos[r, s]`` is the **global** column index of the first
-        occurrence of that minimum — matching ``np.argmin`` tie-breaking.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    num_segments = indptr.size - 1
-    m, total = matrix.shape
-    if num_segments == 0:
-        empty = np.empty((m, 0))
-        return empty, np.empty((m, 0), dtype=np.int64)
-    if indptr[-1] != total or np.any(np.diff(indptr) <= 0):
-        raise ValueError("indptr must partition the columns into non-empty segments")
-    starts = indptr[:-1]
-    # One reduction pass: numpy orders complex numbers lexicographically
-    # (real part first, imaginary as tie-break), so min over
-    # ``value + column*i`` yields the minimum value *and* its first
-    # column — the same tie-breaking as np.argmin — in a single
-    # reduceat instead of a min / expand / compare / min sequence.
-    composite = matrix + 1j * np.arange(total, dtype=np.float64)
-    reduced = np.minimum.reduceat(composite, starts, axis=1)
-    return reduced.real, reduced.imag.astype(np.int64)
-
-
-def segmented_min_argmin_rows(
-    matrix: np.ndarray, indptr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment minimum and first-argmin along the *first* axis.
-
-    Row-major counterpart of :func:`segmented_min_argmin` for batch
-    kernels that lay their per-entry data out as ``(total, m)`` — one
-    contiguous row of ``m`` repetitions per non-zero.  That layout turns
-    the per-row gather of a ``(queries, m)`` table into contiguous
-    row copies instead of strided column picks, which is what makes the
-    reduction memory-bound rather than cache-miss-bound.
-
-    Parameters
-    ----------
-    matrix:
-        ``(total, m)`` array whose rows are grouped into segments.
-    indptr:
-        ``(num_segments + 1,)`` boundaries; every segment must be
-        non-empty.
-
-    Returns
-    -------
-    (mins, argpos):
-        Both ``(num_segments, m)``.  ``mins[s, r]`` equals
-        ``matrix[indptr[s]:indptr[s+1], r].min()`` exactly and
-        ``argpos[s, r]`` is the **global** row index of the first
-        occurrence of that minimum — matching ``np.argmin`` tie-breaking.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    num_segments = indptr.size - 1
-    total, m = matrix.shape
-    if num_segments == 0:
-        empty = np.empty((0, m))
-        return empty, np.empty((0, m), dtype=np.int64)
-    if indptr[-1] != total or np.any(np.diff(indptr) <= 0):
-        raise ValueError("indptr must partition the rows into non-empty segments")
-    # Same complex-lexicographic trick as the column-major variant: one
-    # reduceat yields the minimum value and its first row index.
-    composite = np.empty((total, m), dtype=np.complex128)
-    composite.real = matrix
-    composite.imag = np.broadcast_to(
-        np.arange(total, dtype=np.float64)[:, None], (total, m)
-    )
-    reduced = np.minimum.reduceat(composite, indptr[:-1], axis=0)
-    return reduced.real, reduced.imag.astype(np.int64)
+__all__ = ["chunk_boundaries"]
 
 
 def chunk_boundaries(indptr: np.ndarray, target_nnz: int) -> list[tuple[int, int]]:

@@ -33,10 +33,10 @@ reproduces the exact joint distribution of expanded-vector MinHash —
 cross-checked against the naive implementation in
 :mod:`repro.core.wmh_naive` — at ``O(nnz * m * log L)`` cost.
 
-The simulation is vectorized over the full ``(m, nnz)`` grid: each
-round advances every still-active (repetition, block) cell by one
-record, and cells retire once their next record would overshoot their
-block's occupancy.
+The simulation is vectorized over a ``(m, blocks)`` grid: each round
+advances every still-active (repetition, block) cell by one record, and
+cells retire once their next record would overshoot their block's
+occupancy.
 
 **Memoization.**  A block's minima at occupancy ``k`` is a pure
 function of ``(seed, m, block, k)`` — independent of which vector, which
@@ -47,6 +47,17 @@ both the scalar and the batch path consult a bounded, process-wide LRU
 ``(block, occupancy)`` pairs ever reach the record simulation.  Cache
 hits return the exact array the simulation would produce, so results
 are bit-identical with the cache on, off, cold, or warm.
+
+**Batching.**  A batch resolves each distinct ``(block, occupancy)``
+pair once, however many rows share it, and streams the pairs in
+ascending chunks of whole blocks: a chunk's minima are filled from the
+cache or simulated, inserted into the cache, and folded into the
+running ``(rows, m)`` output before the next chunk starts.  A row's
+indices are sorted, so chunk order is position order within the row,
+and a strict ``<`` keeps the scalar ``argmin``'s first-entry tie-break.
+Beside the output bank, the working set is one chunk and a few integer
+arrays per non-zero; nothing is ``pairs x m``.  The scalar path is the
+one-row case of the same resolver and fold.
 """
 
 from __future__ import annotations
@@ -55,14 +66,13 @@ import os
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.bank import SketchBank
 from repro.core.base import WORDS_PER_SAMPLE_SAMPLING, Sketcher
 from repro.core.rounding import RoundedVector, round_unit_vector, round_vector
-from repro.core.segments import chunk_boundaries, segmented_min_argmin_rows
 from repro.hashing.splitmix import counter_uniform, derive_key_grid
 from repro.vectors.sparse import SparseMatrix, SparseVector, as_sparse_matrix
 
@@ -77,15 +87,11 @@ __all__ = [
     "simulate_block_minima_grouped",
 ]
 
-#: Working-set cap for batch sketching: the scatter phase materializes
-#: a few ``(m, chunk_nnz)`` float64 arrays, so keep m * chunk_nnz near
-#: this many elements (~64 MB per temporary at the default).
-_BATCH_CELL_TARGET = 500_000
-
-#: Cell cap per grouped-simulation call.  The record loop touches ~10
-#: state arrays per round; keeping m * blocks_per_chunk around this
-#: size keeps them cache-resident, which measures ~3x faster than one
-#: monolithic pass.
+#: Cell cap per block chunk of the sketch kernels: a chunk simulates
+#: about this many (repetition, block) cells, and its merge gathers
+#: about this many (entry, repetition) cells.  The record loop touches
+#: ~10 state arrays per round; keeping them this size keeps them
+#: cache-resident, which measures ~3x faster than one monolithic pass.
 _SIM_CELL_TARGET = 200_000
 
 #: Cell cap for the estimation kernel: ``estimate_cross`` bounds every
@@ -123,8 +129,11 @@ def _env_cache_bytes(default: int = 256 * 1024 * 1024) -> int:
 
 #: Budget of the process-wide minima cache; override with the
 #: ``REPRO_WMH_CACHE_BYTES`` environment variable (0 disables caching).
-#: One entry costs ``8 * m`` bytes, so the default holds ~160k columns
-#: at the experiments' m = 200.
+#: The budget bounds the array payload only: an entry's payload is
+#: ``8 * m`` bytes, so the default holds ~160k columns at the
+#: experiments' m = 200, and each entry also carries ~300 bytes of
+#: Python objects (key tuple, array header, dict slot) on top: 130k
+#: entries holding 198 MB of payload trace at about 240 MB.
 DEFAULT_CACHE_BYTES = _env_cache_bytes()
 
 
@@ -140,7 +149,9 @@ class MinimaCache:
     sketch, only the time it takes to build one.
 
     Eviction is least-recently-used, bounded by ``max_bytes`` of array
-    payload.  ``max_bytes <= 0`` disables the cache entirely.
+    payload (the per-entry object overhead is not counted; see
+    :data:`DEFAULT_CACHE_BYTES`).  ``max_bytes <= 0`` disables the
+    cache entirely.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
@@ -495,6 +506,40 @@ def simulate_block_minima_grouped(
     return out.reshape(m, num_queries)
 
 
+def _fold_minima(
+    hashes: np.ndarray,
+    values: np.ndarray,
+    rows: np.ndarray,
+    minima: np.ndarray,
+    entry_values: np.ndarray,
+) -> None:
+    """Fold entries into running per-row minima, in place.
+
+    Entry ``i`` belongs to output row ``rows[i]`` and carries the
+    ``(m,)`` repetition minima ``minima[i]`` and the rounded value
+    ``entry_values[i]``.  ``rows`` must be sorted, and a row's entries
+    must come in position order, after any entry folded into that row
+    by an earlier call.  Each row segment's minimum and its first
+    position are two reduceats; the running minima take the fold only
+    where it is strictly smaller.  So every row ends with ``np.argmin``'s
+    first-occurrence tie-break over all its entries.
+    """
+    row_start = np.concatenate([[True], rows[1:] != rows[:-1]])
+    starts = np.flatnonzero(row_start)
+    mins = np.minimum.reduceat(minima, starts, axis=0)
+    position = np.where(
+        minima == mins[np.cumsum(row_start) - 1],
+        np.arange(rows.size)[:, None],
+        rows.size,
+    )
+    first = np.minimum.reduceat(position, starts, axis=0)
+    out_rows = rows[starts]
+    current = hashes[out_rows]
+    better = mins < current
+    hashes[out_rows] = np.where(better, mins, current)
+    values[out_rows] = np.where(better, entry_values[first], values[out_rows])
+
+
 class WeightedMinHash(Sketcher):
     """The paper's Weighted MinHash inner-product sketcher (Algorithm 3).
 
@@ -597,14 +642,16 @@ class WeightedMinHash(Sketcher):
                 f"rounded vector has L={rounded.L}, sketcher expects {self.L}"
             )
         # rounded.indices are sorted and unique (SparseVector
-        # invariant), so they satisfy the distinct-pair precondition of
-        # the cache-served resolver directly.
-        minima = self._distinct_pair_minima(rounded.indices, rounded.counts).T
-        best = np.argmin(minima, axis=1)
-        rows = np.arange(self.m)
+        # invariant): the distinct-pair order of the chunked resolver,
+        # and one pair per entry.
+        hashes = np.full((1, self.m), np.inf)
+        values = np.zeros((1, self.m))
+        rows = np.zeros(rounded.indices.size, dtype=np.int64)
+        for lo, hi, minima in self._pair_minima_chunks(rounded.indices, rounded.counts):
+            _fold_minima(hashes, values, rows[lo:hi], minima, rounded.values[lo:hi])
         return WMHSketch(
-            hashes=minima[rows, best],
-            values=rounded.values[best],
+            hashes=hashes[0],
+            values=values[0],
             norm=rounded.norm,
             m=self.m,
             L=self.L,
@@ -679,74 +726,73 @@ class WeightedMinHash(Sketcher):
             seed=self.seed,
         )
 
-    def _distinct_pair_minima(
-        self, query_blocks: np.ndarray, query_counts: np.ndarray
-    ) -> np.ndarray:
-        """Minima for distinct ``(block, occupancy)`` pairs, cache-served.
+    def _pair_minima_chunks(
+        self, pair_blocks: np.ndarray, pair_counts: np.ndarray
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Minima of distinct ``(block, occupancy)`` pairs, streamed by
+        block chunk.
 
         Input arrays must be lexsorted by ``(block, count)`` with no
-        duplicate pairs (the batch sketcher guarantees this).  Cached
-        pairs are copied out of the memo cache; only the misses are
-        simulated — one record stream per missing block, evaluated at
-        that block's missing occupancies — and inserted afterwards.
+        duplicate pairs.  Every pair is looked up in the memo cache
+        once, up front; the hit columns are held by reference, so a
+        put of a later chunk can evict them without losing them.  The
+        pairs are then walked in chunks of whole blocks (about
+        :data:`_SIM_CELL_TARGET` simulation cells each): a chunk's
+        misses are simulated — one record stream per block, evaluated
+        at its missing occupancies — and inserted into the cache.
 
-        Returns a ``(Q, m)`` array with one contiguous row per pair
-        (the transpose of the simulators' layout, which is what the
-        row-major scatter phase wants to gather from).
+        Yields ``(lo, hi, minima)`` where ``minima`` is a fresh
+        ``(hi - lo, m)`` array holding one row per pair ``lo..hi-1``,
+        so no buffer ever spans all pairs.
         """
-        num_queries = query_blocks.size
-        out = np.empty((num_queries, self.m))
+        seed, m = self.seed, self.m
+        num_pairs = pair_blocks.size
         cache = self._live_cache()
+        cached: list[np.ndarray | None] | None = None
         if cache is not None and len(cache):
-            seed, m = self.seed, self.m
-            missing: list[int] = []
-            for q, (block, count) in enumerate(
-                zip(query_blocks.tolist(), query_counts.tolist())
-            ):
-                column = cache.get((seed, m, block, count))
-                if column is None:
-                    missing.append(q)
-                else:
-                    out[q] = column
-            miss_idx = np.asarray(missing, dtype=np.int64)
-        else:
-            miss_idx = np.arange(num_queries, dtype=np.int64)
-
-        if miss_idx.size:
-            miss_blocks = query_blocks[miss_idx]
-            miss_counts = query_counts[miss_idx]
-            # The miss subset inherits the (block, count) ordering, so
-            # grouping by block is a run-length scan.
-            new_block = np.concatenate([[True], np.diff(miss_blocks) != 0])
-            unique_blocks = miss_blocks[new_block]
-            miss_indptr = np.concatenate(
-                [np.flatnonzero(new_block), [miss_blocks.size]]
-            )
-            sim = np.empty((miss_idx.size, self.m))
-            blocks_per_chunk = max(1, _SIM_CELL_TARGET // max(self.m, 1))
-            for ulo in range(0, unique_blocks.size, blocks_per_chunk):
-                uhi = min(ulo + blocks_per_chunk, unique_blocks.size)
-                q_lo, q_hi = int(miss_indptr[ulo]), int(miss_indptr[uhi])
-                sim[q_lo:q_hi] = simulate_block_minima_grouped(
-                    self.seed,
-                    self.m,
-                    unique_blocks[ulo:uhi],
-                    miss_indptr[ulo : uhi + 1] - q_lo,
-                    miss_counts[q_lo:q_hi],
+            cached = [
+                cache.get((seed, m, block, count))
+                for block, count in zip(pair_blocks.tolist(), pair_counts.tolist())
+            ]
+        block_starts = np.flatnonzero(
+            np.concatenate([[True], np.diff(pair_blocks) != 0])
+        )
+        blocks_per_chunk = max(1, _SIM_CELL_TARGET // m)
+        bounds = np.append(block_starts[::blocks_per_chunk], num_pairs).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            minima = np.empty((hi - lo, m))
+            if cached is None:
+                miss = np.arange(hi - lo)
+            else:
+                missing: list[int] = []
+                for j, column in enumerate(cached[lo:hi]):
+                    if column is None:
+                        missing.append(j)
+                    else:
+                        minima[j] = column
+                miss = np.asarray(missing, dtype=np.int64)
+            if miss.size:
+                blocks = pair_blocks[lo:hi][miss]
+                counts = pair_counts[lo:hi][miss]
+                # The misses inherit the (block, count) ordering, so
+                # grouping by block is a run-length scan.
+                new_block = np.concatenate([[True], np.diff(blocks) != 0])
+                minima[miss] = simulate_block_minima_grouped(
+                    seed,
+                    m,
+                    blocks[new_block],
+                    np.append(np.flatnonzero(new_block), blocks.size),
+                    counts,
                 ).T
-            out[miss_idx] = sim
-            if cache is not None:
-                seed, m = self.seed, self.m
-                cache.put_many(
-                    [
-                        (seed, m, block, count)
-                        for block, count in zip(
-                            miss_blocks.tolist(), miss_counts.tolist()
-                        )
-                    ],
-                    sim,
-                )
-        return out
+                if cache is not None:
+                    cache.put_many(
+                        [
+                            (seed, m, block, count)
+                            for block, count in zip(blocks.tolist(), counts.tolist())
+                        ],
+                        minima[miss],
+                    )
+            yield lo, hi, minima
 
     def sketch_batch(
         self, matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray
@@ -757,10 +803,15 @@ class WeightedMinHash(Sketcher):
         per-``(repetition, block)`` record stream, the per-block minima
         depend only on the distinct ``(block, occupancy)`` pairs present
         in the matrix: those are looked up in the memo cache or
-        simulated **once** and scattered back to the rows, so blocks
-        shared across rows (common keys, common tokens) cost one
-        simulation instead of one per row.  Results are bit-identical
-        to the scalar loop.
+        simulated **once**, so blocks shared across rows (common keys,
+        common tokens) cost one simulation instead of one per row.
+
+        The pairs stream through in ascending block chunks, and each
+        chunk's entries fold into the running ``(rows, m)`` minima with
+        a strict ``<``.  Row indices are sorted, so block order is
+        position order within a row and the first entry wins a tie,
+        as ``np.argmin`` does: results are bit-identical to the scalar
+        loop, and the working set is one chunk plus the output bank.
         """
         rows = as_sparse_matrix(matrix).without_explicit_zeros()
         total = rows.num_rows
@@ -797,9 +848,9 @@ class WeightedMinHash(Sketcher):
         if active_rows:
             blocks = np.concatenate(parts_blocks)
             counts = np.concatenate(parts_counts)
-            row_values = np.concatenate(parts_values)
+            entry_values = np.concatenate(parts_values)
             sizes = np.array([part.size for part in parts_blocks], dtype=np.int64)
-            indptr = np.concatenate([[0], np.cumsum(sizes)])
+            entry_rows = np.repeat(np.array(active_rows, dtype=np.int64), sizes)
 
             # Group the entries by (block, occupancy): each *distinct*
             # (block, occupancy) pair is resolved once, no matter how
@@ -812,27 +863,27 @@ class WeightedMinHash(Sketcher):
             new_pair = np.concatenate(
                 [[True], (np.diff(sorted_blocks) != 0) | (np.diff(sorted_counts) != 0)]
             )
-            query_of_entry = np.cumsum(new_pair) - 1
-            query_blocks = sorted_blocks[new_pair]
-            query_counts = sorted_counts[new_pair]
-            inverse = np.empty(sorted_blocks.size, dtype=np.int64)
-            inverse[perm] = query_of_entry
+            pair_starts = np.append(np.flatnonzero(new_pair), perm.size)
+            entry_pairs = np.empty(perm.size, dtype=np.int64)
+            entry_pairs[perm] = np.cumsum(new_pair) - 1
 
-            minima = self._distinct_pair_minima(query_blocks, query_counts)
-
-            # Scatter to rows and reduce, chunked to bound memory.  The
-            # row-major (entries, m) layout makes the gather contiguous
-            # per entry and the reduction emit (rows, m) directly.
-            row_index = np.array(active_rows, dtype=np.int64)
-            for lo, hi in chunk_boundaries(indptr, _BATCH_CELL_TARGET // max(self.m, 1)):
-                lo_nnz, hi_nnz = int(indptr[lo]), int(indptr[hi])
-                gathered = minima[inverse[lo_nnz:hi_nnz]]
-                mins, argpos = segmented_min_argmin_rows(
-                    gathered, indptr[lo : hi + 1] - lo_nnz
-                )
-                chunk_rows = row_index[lo:hi]
-                hashes[chunk_rows] = mins
-                values[chunk_rows] = row_values[lo_nnz + argpos]
+            for lo, hi, minima in self._pair_minima_chunks(
+                sorted_blocks[new_pair], sorted_counts[new_pair]
+            ):
+                # The chunk's entries in row-major order.  The gather
+                # is cut to the chunk's own buffer size (or the cell
+                # target), however many rows share its pairs.
+                chunk = np.sort(perm[pair_starts[lo] : pair_starts[hi]])
+                step = max(hi - lo, _SIM_CELL_TARGET // self.m)
+                for first in range(0, chunk.size, step):
+                    part = chunk[first : first + step]
+                    _fold_minima(
+                        hashes,
+                        values,
+                        entry_rows[part],
+                        minima[entry_pairs[part] - lo],
+                        entry_values[part],
+                    )
 
         return SketchBank(
             kind=self.name,

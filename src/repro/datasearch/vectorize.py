@@ -22,6 +22,7 @@ encoders, which each re-hash and re-deduplicate from scratch.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.hashing.splitmix import hash_bytes, hash_bytes_many, hash_string
 from repro.vectors.sparse import SparseVector
 
 __all__ = [
+    "table_digest",
     "key_to_index",
     "keys_to_indices",
     "indicator_vector",
@@ -69,6 +71,25 @@ def _encode_key(key: object) -> bytes:
     if isinstance(key, bytes):
         return key
     return repr(key).encode("utf-8")
+
+
+def table_digest(table: Table) -> bytes:
+    """A 128-bit digest of everything a table's encodings read.
+
+    Covers the keys, as :func:`key_to_index` encodes them, and every
+    value column by name and float64 bytes.  Two tables with equal
+    digests encode to equal vectors, so they get equal sketches under
+    any sketcher.
+    """
+    blobs = [_encode_key(key) for key in table.keys]
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(np.fromiter(map(len, blobs), np.int64, len(blobs)).tobytes())
+    digest.update(b"".join(blobs))
+    for name, values in table.columns.items():
+        encoded = name.encode("utf-8")
+        digest.update(len(encoded).to_bytes(8, "little") + encoded)
+        digest.update(values.tobytes())
+    return digest.digest()
 
 
 def keys_to_indices(keys: Iterable, domain: int = MERSENNE_31) -> np.ndarray:

@@ -87,6 +87,12 @@ CHUNK_BYTES_ENV = "REPRO_INGEST_CHUNK_BYTES"
 #: (meta passes, pool round-trips) is negligible and within-chunk
 #: deduplication stays effective, small enough that a handful of
 #: in-flight chunks keeps peak RSS bounded regardless of lake size.
+#: A chunk's sketch stage holds its CSR, its output bank, ~150 bytes of
+#: index arrays per non-zero and one block chunk of the WMH kernel
+#: (tens of MB at m = 200, independent of the budget); nothing scales
+#: with distinct ``(block, occupancy)`` pairs x m.  So RSS grows with
+#: the budget by a few bytes per chunk byte, on top of the process-wide
+#: WMH minima cache (``DEFAULT_CACHE_BYTES`` of payload).
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 
 #: Estimated bytes one table row contributes to a chunk's transient

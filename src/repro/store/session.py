@@ -7,7 +7,8 @@ conveniences the raw engine deliberately lacks:
 
 * query tables are sketched **once per session** — repeated searches
   from the same analyst table (different columns, different ``top_k``)
-  reuse the cached :class:`~repro.datasearch.join_estimates.JoinSketch`;
+  reuse the cached :class:`~repro.datasearch.join_estimates.JoinSketch`,
+  keyed by the table's name and a digest of its contents;
 * the engine is cached on the identity of ``store.index`` — appends
   mutate the index in place, so the cached engine keeps seeing new
   tables for free, while a compaction (or any event that rebuilds the
@@ -35,6 +36,7 @@ from repro import obs
 from repro.datasearch.join_estimates import JoinSketch
 from repro.datasearch.search import DatasetSearch, SearchHit
 from repro.datasearch.table import Table
+from repro.datasearch.vectorize import table_digest
 from repro.store.lake import LakeStore
 
 __all__ = ["QuerySession"]
@@ -62,7 +64,7 @@ class QuerySession:
         self.min_containment = min_containment
         self.candidates = candidates
         self.max_cached_queries = max_cached_queries
-        self._query_cache: dict[str, JoinSketch] = {}
+        self._query_cache: dict[tuple[str, bytes], JoinSketch] = {}
         self._engine: DatasetSearch | None = None
         self._lock = threading.RLock()
 
@@ -104,16 +106,18 @@ class QuerySession:
     # ------------------------------------------------------------------
 
     def sketch(self, table: Table) -> JoinSketch:
-        """Sketch a query table, cached by table name for the session.
+        """Sketch a query table, cached for the session.
 
-        The cache assumes a name identifies one table for the session's
-        lifetime; call :meth:`clear_cache` if a query table's contents
-        change.  Two threads missing on the same name may both sketch
-        it (sketching is deterministic, so either result is THE
-        result); the first insert wins and the duplicate is dropped.
+        The cache key is the table's name plus :func:`table_digest` of
+        its keys and value columns, so a different table sent under a
+        cached name is sketched afresh.  Two threads missing on the
+        same key may both sketch it (sketching is deterministic, so
+        either result is THE result); the first insert wins and the
+        duplicate is dropped.
         """
+        key = (table.name, table_digest(table))
         with self._lock:
-            cached = self._query_cache.get(table.name)
+            cached = self._query_cache.get(key)
         if cached is not None:
             obs.count("session.sketch_cache.hits")
             return cached
@@ -121,7 +125,7 @@ class QuerySession:
         with obs.trace_span("session.sketch_query", table=table.name):
             built = self.engine.sketch_query(table)
         with self._lock:
-            cached = self._query_cache.setdefault(table.name, built)
+            cached = self._query_cache.setdefault(key, built)
             if self.max_cached_queries is not None:
                 while len(self._query_cache) > self.max_cached_queries:
                     oldest = next(iter(self._query_cache))

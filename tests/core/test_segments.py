@@ -1,73 +1,10 @@
-"""Segmented reductions: exactness against the per-segment numpy ops."""
+"""Row chunking for batch sketching."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.segments import (
-    chunk_boundaries,
-    segmented_min_argmin,
-    segmented_min_argmin_rows,
-)
-
-
-def random_segments(rng, num_segments: int, m: int):
-    sizes = rng.integers(1, 9, size=num_segments)
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    matrix = rng.normal(size=(m, int(indptr[-1])))
-    return matrix, indptr
-
-
-class TestColumnMajor:
-    def test_matches_per_segment_numpy(self):
-        rng = np.random.default_rng(0)
-        matrix, indptr = random_segments(rng, 17, 5)
-        mins, argpos = segmented_min_argmin(matrix, indptr)
-        for s in range(17):
-            lo, hi = indptr[s], indptr[s + 1]
-            np.testing.assert_array_equal(mins[:, s], matrix[:, lo:hi].min(axis=1))
-            np.testing.assert_array_equal(
-                argpos[:, s], lo + np.argmin(matrix[:, lo:hi], axis=1)
-            )
-
-
-class TestRowMajor:
-    def test_matches_per_segment_numpy(self):
-        rng = np.random.default_rng(1)
-        matrix, indptr = random_segments(rng, 23, 4)
-        rows = np.ascontiguousarray(matrix.T)  # (total, m)
-        mins, argpos = segmented_min_argmin_rows(rows, indptr)
-        for s in range(23):
-            lo, hi = indptr[s], indptr[s + 1]
-            np.testing.assert_array_equal(mins[s], rows[lo:hi].min(axis=0))
-            np.testing.assert_array_equal(
-                argpos[s], lo + np.argmin(rows[lo:hi], axis=0)
-            )
-
-    def test_tie_breaks_to_first_row_like_argmin(self):
-        rows = np.array([[2.0, 1.0], [1.0, 1.0], [1.0, 3.0], [1.0, 0.5]])
-        mins, argpos = segmented_min_argmin_rows(rows, np.array([0, 3, 4]))
-        np.testing.assert_array_equal(mins, [[1.0, 1.0], [1.0, 0.5]])
-        np.testing.assert_array_equal(argpos, [[1, 0], [3, 3]])
-
-    def test_empty_and_invalid_segments(self):
-        mins, argpos = segmented_min_argmin_rows(np.empty((0, 3)), np.array([0]))
-        assert mins.shape == (0, 3) and argpos.shape == (0, 3)
-        with pytest.raises(ValueError):
-            segmented_min_argmin_rows(np.zeros((4, 2)), np.array([0, 2, 2, 4]))
-        with pytest.raises(ValueError):
-            segmented_min_argmin_rows(np.zeros((4, 2)), np.array([0, 3]))
-
-    def test_agrees_with_column_major(self):
-        rng = np.random.default_rng(2)
-        matrix, indptr = random_segments(rng, 31, 6)
-        mins_c, arg_c = segmented_min_argmin(matrix, indptr)
-        mins_r, arg_r = segmented_min_argmin_rows(
-            np.ascontiguousarray(matrix.T), indptr
-        )
-        np.testing.assert_array_equal(mins_r, mins_c.T)
-        np.testing.assert_array_equal(arg_r, arg_c.T)
+from repro.core.segments import chunk_boundaries
 
 
 class TestChunkBoundaries:

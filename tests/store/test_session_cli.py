@@ -62,6 +62,24 @@ class TestQuerySession:
         assert session.sketch(query) is not first
         store.close()
 
+    def test_query_sketch_cache_sees_new_contents_under_a_cached_name(self, tmp_path):
+        store = fresh_store(tmp_path, make_tables())
+        session = QuerySession(store, min_containment=0.0)
+        first = make_query(seed=42)
+        second = make_query(seed=7)
+        second.name = first.name
+        session.search(first, "signal")
+        served = session.search(second, "signal")
+        expected = QuerySession(store, min_containment=0.0).search(second, "signal")
+        key = [(h.table_name, h.column, h.score) for h in expected]
+        assert [(h.table_name, h.column, h.score) for h in served] == key
+        # The same contents still hit, whichever name object carries them.
+        again = make_query(seed=7)
+        again.name = first.name
+        assert session.sketch(again) is session.sketch(second)
+        assert session.sketch(make_query(seed=42)) is session.sketch(first)
+        store.close()
+
     def test_session_sees_appends(self, tmp_path):
         tables = make_tables(3)
         store = fresh_store(tmp_path, tables[:2])
