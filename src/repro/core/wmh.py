@@ -39,14 +39,21 @@ cells retire once their next record would overshoot their block's
 occupancy.
 
 **Memoization.**  A block's minima at occupancy ``k`` is a pure
-function of ``(seed, m, block, k)`` — independent of which vector, which
-batch, or which lake append asked for it.  Real lakes repeat column
-occupancies constantly (same-sized tables over a shared key domain), so
-both the scalar and the batch path consult a bounded, process-wide LRU
-(:class:`MinimaCache`) before simulating, and only the missing
-``(block, occupancy)`` pairs ever reach the record simulation.  Cache
-hits return the exact array the simulation would produce, so results
-are bit-identical with the cache on, off, cold, or warm.
+function of ``(seed, m, L, block, k)`` — independent of which vector,
+which batch, or which lake append asked for it.  Real lakes repeat
+blocks constantly (query tables join on the lake's keys), so both the
+scalar and the batch path consult a bounded, process-wide LRU
+(:class:`MinimaCache`) before simulating.  It holds one entry per
+block.  A block starts as a dict of minima columns by occupancy; once
+the next miss would make those columns outweigh the block's whole
+record stream up to ``L`` (about ``2 (ln L + γ)`` columns: a stream
+holds ``~ln L + γ`` records of 16 bytes per repetition, a column 8),
+the stream is simulated once, kept, and the columns dropped.  A stream
+answers any occupancy ``k`` as its last record at a position ``<= k``,
+so only blocks that are new or still on columns reach the record
+simulation.  Cache hits return the exact floats the simulation would
+produce, so results are bit-identical with the cache on, off, cold, or
+warm.
 
 **Batching.**  A batch resolves each distinct ``(block, occupancy)``
 pair once, however many rows share it, and streams the pairs in
@@ -62,7 +69,9 @@ one-row case of the same resolver and fold.
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -85,6 +94,7 @@ __all__ = [
     "shared_minima_cache",
     "simulate_block_minima",
     "simulate_block_minima_grouped",
+    "simulate_block_records",
 ]
 
 #: Cell cap per block chunk of the sketch kernels: a chunk simulates
@@ -129,34 +139,97 @@ def _env_cache_bytes(default: int = 256 * 1024 * 1024) -> int:
 
 #: Budget of the process-wide minima cache; override with the
 #: ``REPRO_WMH_CACHE_BYTES`` environment variable (0 disables caching).
-#: The budget bounds the array payload only: an entry's payload is
-#: ``8 * m`` bytes, so the default holds ~160k columns at the
-#: experiments' m = 200, and each entry also carries ~300 bytes of
-#: Python objects (key tuple, array header, dict slot) on top: 130k
-#: entries holding 198 MB of payload trace at about 240 MB.
+#: The budget bounds the array payload only.  A column is ``8 * m``
+#: bytes and a block holds at most ``2 (ln L + γ)`` of them (~37 at the
+#: default ``L``) before they give way to its record stream of about
+#: the same size, so the default holds ~160k columns, or ~4.5k streams,
+#: at the experiments' m = 200.  Python objects come on top: ~220 bytes
+#: a column (array header, dict slot, and a share of the block's key and
+#: dict) when blocks hold 7 columns, traced.
 DEFAULT_CACHE_BYTES = _env_cache_bytes()
 
 
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _key_span(m: int) -> int:
+    """Repetition stride of a :class:`_BlockStream`'s int64 keys: the
+    largest power of two with ``m * span <= 2**63``."""
+    return 1 << (63 - m.bit_length())
+
+
+def _break_even_columns(m: int, L: int) -> float:
+    """Minima columns a block may hold before its record stream up to
+    ``L`` is kept instead.
+
+    A stream expects ``H_L ≈ ln L + γ`` records per repetition at 16
+    bytes (key and hash) against 8 bytes per repetition for a column,
+    so columns outweigh it past ``2 (ln L + γ)`` of them.  An ``L``
+    too large for the stream keys never converts.
+    """
+    if L >= _key_span(m):
+        return math.inf
+    return 2.0 * (math.log(L) + _EULER_GAMMA)
+
+
+@dataclass(frozen=True)
+class _BlockStream:
+    """One block's record streams up to ``L``, for every repetition.
+
+    ``keys`` holds ``r * _key_span(m) + position`` of each record in
+    repetition, then position order, so one ``searchsorted`` finds the
+    last record at a position ``<= k`` of every repetition at once.
+    ``hashes[i + 1]`` is the hash of the record at ``keys[i]``;
+    ``hashes[0]`` pads, so the ``"right"`` insertion point indexes it
+    directly.
+    """
+
+    keys: np.ndarray
+    hashes: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.keys.nbytes + self.hashes.nbytes
+
+    def minima(self, counts: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> None:
+        """Write the ``(len(counts), m)`` minima at occupancies ``counts``
+        (each ``<= L``) into ``out``; ``offsets`` is ``arange(m) * span``."""
+        at = np.searchsorted(self.keys, counts[:, None] + offsets, "right")
+        np.take(self.hashes, at, out=out, mode="clip")
+
+
+def _entry_nbytes(entry: Any) -> int:
+    if isinstance(entry, _BlockStream):
+        return entry.nbytes
+    return sum(column.nbytes for column in entry.values())
+
+
 class MinimaCache:
-    """Bounded LRU of per-``(block, occupancy)`` record-process minima.
+    """Bounded LRU of per-block record-process minima.
 
-    Keys are ``(seed, m, block, occupancy)`` tuples (``L`` is deliberately
-    absent: the record stream and its truncation depend only on the
-    occupancy count, so sketchers differing *only* in ``L`` share
-    entries).  Values are the contiguous ``(m,)`` float64 columns that
-    :func:`simulate_block_minima` would produce — cache hits are
-    bit-identical to re-simulation, so the cache can never change a
-    sketch, only the time it takes to build one.
+    Keys are ``(seed, m, L, block)`` tuples.  An entry is either a dict
+    mapping occupancy ``k`` to the contiguous ``(m,)`` float64 column
+    that :func:`simulate_block_minima` would produce, or, once the
+    columns would outweigh it, the block's whole record stream up to
+    ``L`` (a :class:`_BlockStream`), which answers every occupancy.
+    Either way a hit is bit-identical to re-simulation, so the cache
+    can never change a sketch, only the time it takes to build one.
 
-    Eviction is least-recently-used, bounded by ``max_bytes`` of array
-    payload (the per-entry object overhead is not counted; see
-    :data:`DEFAULT_CACHE_BYTES`).  ``max_bytes <= 0`` disables the
-    cache entirely.
+    ``hits`` and ``misses`` count ``(block, occupancy)`` lookups.
+    Entries are looked up, grown and replaced under a lock, because the
+    shared cache serves every thread that sketches.  Eviction is
+    least-recently-used by block entry, bounded by
+    ``max_bytes`` of array payload (the per-entry object overhead is
+    not counted; see :data:`DEFAULT_CACHE_BYTES`); a growing entry is
+    re-accounted at its new size, and an entry larger than the whole
+    budget is not stored.  ``max_bytes <= 0`` disables the cache
+    entirely.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[tuple, Any] = OrderedDict()
+        self._lock = threading.Lock()
         self._payload_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -174,60 +247,75 @@ class MinimaCache:
         """Current array payload held by the cache."""
         return self._payload_bytes
 
-    def get(self, key: tuple) -> np.ndarray | None:
-        column = self._entries.get(key)
-        if column is None:
-            self.misses += 1
-            return None
-        # Recency bookkeeping is pressure-gated: while the cache is
-        # under half full there is no eviction pressure, so skipping
-        # ``move_to_end`` cannot change *what* is cached — only the
-        # order a hypothetical future eviction would pick — and it
-        # removes the dominant per-hit cost on sketch-heavy ingests.
-        if self._payload_bytes * 2 > self.max_bytes:
-            self._entries.move_to_end(key)
-        self.hits += 1
-        return column
+    def entry(self, key: tuple) -> Any:
+        """The block's column dict or :class:`_BlockStream`, or ``None``.
 
-    def put(self, key: tuple, column: np.ndarray) -> None:
-        if self.max_bytes <= 0:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._payload_bytes -= old.nbytes
-        self._entries[key] = column
-        self._payload_bytes += column.nbytes
-        while self._payload_bytes > self.max_bytes and self._entries:
-            _, dropped = self._entries.popitem(last=False)
-            self._payload_bytes -= dropped.nbytes
-            self.evictions += 1
+        Callers must not mutate a column dict; :meth:`add_columns` grows
+        it.  Hits and misses are counted by the caller, per occupancy.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            # Recency bookkeeping is pressure-gated: while the cache is
+            # under half full there is no eviction pressure, so skipping
+            # ``move_to_end`` cannot change *what* is cached — only the
+            # order a hypothetical future eviction would pick — and it
+            # removes the dominant per-hit cost on sketch-heavy ingests.
+            if entry is not None and self._payload_bytes * 2 > self.max_bytes:
+                self._entries.move_to_end(key)
+        return entry
 
-    def put_many(self, keys: Sequence[tuple], columns: np.ndarray) -> None:
-        """Insert ``columns[i]`` (rows of a ``(len(keys), m)`` array)
-        under ``keys[i]``.
+    def add_columns(self, key: tuple, counts: Sequence[int], columns: np.ndarray) -> None:
+        """Add ``columns[i]`` (rows of a ``(len(counts), m)`` array) to
+        the block's column dict under occupancy ``counts[i]``.
 
         Each row is copied into its own buffer so eviction actually
-        releases memory entry by entry — storing views of ``columns``
-        would keep the whole batch buffer pinned while any single view
-        survived, silently breaking the ``max_bytes`` bound.
+        releases memory — storing views of ``columns`` would keep the
+        whole batch buffer pinned while any single view survived,
+        silently breaking the ``max_bytes`` bound.
         """
-        if self.max_bytes <= 0 or not len(keys):
+        if self.max_bytes <= 0:
+            return
+        copies = list(map(np.copy, columns))
+        with self._lock:
+            # A dict is grown only while out of the cache, so its size
+            # is accounted exactly once before and once after.
+            entry = self._pop(key)
+            if not isinstance(entry, dict):
+                entry = {}
+            entry.update(zip(counts, copies))
+            self._insert(key, entry)
+
+    def put_stream(self, key: tuple, stream: _BlockStream) -> None:
+        """Replace the block's entry (its columns, if any) by its stream."""
+        if self.max_bytes <= 0:
+            return
+        with self._lock:
+            self._pop(key)
+            self._insert(key, stream)
+
+    def _pop(self, key: tuple) -> Any:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._payload_bytes -= _entry_nbytes(entry)
+        return entry
+
+    def _insert(self, key: tuple, entry: Any) -> None:
+        nbytes = _entry_nbytes(entry)
+        if nbytes > self.max_bytes:
             return
         entries = self._entries
-        for key in keys:
-            old = entries.pop(key, None)
-            if old is not None:
-                self._payload_bytes -= old.nbytes
-        entries.update(zip(keys, map(np.copy, columns)))
-        self._payload_bytes += columns.nbytes
+        entries[key] = entry
+        self._payload_bytes += nbytes
+        # The new entry is last and fits, so it is never the one evicted.
         while self._payload_bytes > self.max_bytes and entries:
             _, dropped = entries.popitem(last=False)
-            self._payload_bytes -= dropped.nbytes
+            self._payload_bytes -= _entry_nbytes(dropped)
             self.evictions += 1
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._payload_bytes = 0
+        with self._lock:
+            self._entries.clear()
+            self._payload_bytes = 0
 
     def stats(self) -> dict[str, int]:
         return {
@@ -297,68 +385,94 @@ def simulate_block_minima(
     Returns
     -------
     Array of shape ``(m, B)``: the minimum hash over the first
-    ``counts[j]`` slots of block ``block_ids[j]``, per repetition.
+    ``counts[j]`` slots of block ``block_ids[j]``, per repetition — the
+    last record of each stream of :func:`simulate_block_records`.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets, _, hashes = simulate_block_records(seed, m, block_ids, counts, max_rounds)
+    return hashes[offsets[1:] - 1].reshape(counts.size, m).T
+
+
+def simulate_block_records(
+    seed: int,
+    m: int,
+    block_ids: np.ndarray,
+    limits: np.ndarray,
+    max_rounds: int = 512,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate every record of per-(block, repetition) streams.
+
+    Cell ``j * m + r`` is repetition ``r`` of block ``block_ids[j]``,
+    simulated up to position ``limits[j] >= 1``.  Returns ``(offsets,
+    positions, hashes)``: cell ``c``'s records are
+    ``offsets[c]:offsets[c + 1]`` of the two flat float64 arrays, in
+    position order, so the last one at a position ``<= k`` is the
+    minimum over the first ``k`` slots.
     """
     block_ids = np.asarray(block_ids, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    if np.any(counts < 1):
+    limits = np.asarray(limits, dtype=np.int64)
+    if np.any(limits < 1):
         raise ValueError("all block counts must be >= 1")
-    n_blocks = block_ids.size
-    keys = derive_key_grid(seed, np.arange(m, dtype=np.int64), block_ids).ravel()
-    minima = counter_uniform(keys, 0)
+    keys = derive_key_grid(seed, np.arange(m, dtype=np.int64), block_ids).T.ravel()
+    num_cells = keys.size
 
     # Compacted state of the still-active cells.  Record 0 is the hash
     # of slot 1; every block has k >= 1 so it is always accepted.
     # Positions are tracked in float64 (exact up to 2**53, far beyond
-    # any usable L).
-    cell_ids = np.arange(keys.size)
+    # any usable L).  Record t of every cell is accepted in round t,
+    # so each round's (cells, positions, hashes) land at offset + t.
+    act_cells = np.arange(num_cells)
     act_keys = keys
-    act_z = minima.copy()
-    act_pos = np.ones(keys.size, dtype=np.float64)
-    act_limit = np.broadcast_to(counts.astype(np.float64), (m, n_blocks)).ravel()
+    act_z = counter_uniform(keys, 0)
+    act_pos = np.ones(num_cells, dtype=np.float64)
+    act_limit = np.repeat(limits.astype(np.float64), m)
+    rounds = [(act_cells, act_pos, act_z)]
     counter = 1
-    rounds = 0
     golden = np.uint64(0x9E3779B97F4A7C15)
-    mul1 = np.uint64(0xBF58476D1CE4E5B9)
-    mul2 = np.uint64(0x94D049BB133111EB)
-    inv_2_52 = 2.0**-52
     with np.errstate(over="ignore"):
-        while cell_ids.size:
-            rounds += 1
-            if rounds > max_rounds:
+        while act_cells.size:
+            if len(rounds) > max_rounds:
                 raise RuntimeError(
                     "record simulation did not converge; this indicates a "
                     "corrupted occupancy count"
                 )
-            # Two splitmix64 stream draws per record, inlined to avoid
-            # per-call overhead in this hot loop (equivalent to
-            # counter_uniform(act_keys, counter) and counter + 1).
-            state = act_keys + np.uint64(counter) * golden
-            draws = []
-            for offset in (np.uint64(0), golden):
-                word = state + offset
-                word = (word ^ (word >> np.uint64(30))) * mul1
-                word = (word ^ (word >> np.uint64(27))) * mul2
-                word = word ^ (word >> np.uint64(31))
-                draws.append(
-                    ((word >> np.uint64(12)).astype(np.float64) + 0.5) * inv_2_52
-                )
-            u_skip, u_value = draws
-            counter += 2
             # Geometric(z) via inversion: smallest t >= 1 with u < z
             # after t trials.  log1p(-z) < 0 strictly since z in (0, 1).
-            skip = np.ceil(np.log(u_skip) / np.log1p(-act_z))
+            state = act_keys + np.uint64(counter) * golden
+            skip = np.ceil(np.log(_splitmix_uniform(state)) / np.log1p(-act_z))
             next_pos = act_pos + skip
-            accepted = next_pos <= act_limit
-            new_z = act_z[accepted] * u_value[accepted]
-            kept = cell_ids[accepted]
-            minima[kept] = new_z
-            cell_ids = kept
-            act_keys = act_keys[accepted]
-            act_z = new_z
-            act_pos = next_pos[accepted]
-            act_limit = act_limit[accepted]
-    return minima.reshape(m, n_blocks)
+            keep = np.flatnonzero(next_pos <= act_limit)
+            act_keys = act_keys.take(keep)
+            u_value = _splitmix_uniform(act_keys + np.uint64(counter) * golden + golden)
+            act_z = act_z.take(keep) * u_value
+            act_pos = next_pos.take(keep)
+            act_limit = act_limit.take(keep)
+            act_cells = act_cells.take(keep)
+            counter += 2
+            if act_cells.size:
+                rounds.append((act_cells, act_pos, act_z))
+
+    lengths = np.zeros(num_cells, dtype=np.int64)
+    for cells, _, _ in rounds:
+        lengths[cells] += 1
+    offsets = np.zeros(num_cells + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    positions = np.empty(int(offsets[-1]))
+    hashes = np.empty(int(offsets[-1]))
+    for t, (cells, pos, z) in enumerate(rounds):
+        at = offsets[cells] + t
+        positions[at] = pos
+        hashes[at] = z
+    return offsets, positions, hashes
+
+
+def _splitmix_uniform(state: np.ndarray) -> np.ndarray:
+    """``counter_uniform`` on precomputed stream states, inlined for
+    the record loops (the key plus counter addition is the caller's)."""
+    word = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    word = (word ^ (word >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    word = word ^ (word >> np.uint64(31))
+    return ((word >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
 def simulate_block_minima_grouped(
@@ -446,16 +560,6 @@ def simulate_block_minima_grouped(
     counter = 1
     rounds = 0
     golden = np.uint64(0x9E3779B97F4A7C15)
-    mul1 = np.uint64(0xBF58476D1CE4E5B9)
-    mul2 = np.uint64(0x94D049BB133111EB)
-    inv_2_52 = 2.0**-52
-
-    def _draw(state: np.ndarray) -> np.ndarray:
-        word = (state ^ (state >> np.uint64(30))) * mul1
-        word = (word ^ (word >> np.uint64(27))) * mul2
-        word = word ^ (word >> np.uint64(31))
-        return ((word >> np.uint64(12)).astype(np.float64) + 0.5) * inv_2_52
-
     with np.errstate(over="ignore"):
         while act_keys.size:
             rounds += 1
@@ -465,7 +569,7 @@ def simulate_block_minima_grouped(
                     "corrupted occupancy count"
                 )
             state = act_keys + np.uint64(counter) * golden
-            u_skip = _draw(state)
+            u_skip = _splitmix_uniform(state)
             skip = np.ceil(np.log(u_skip) / np.log1p(-act_z))
             next_pos = act_pos + skip
             # Answer every query this advance passes: the current z is
@@ -494,7 +598,7 @@ def simulate_block_minima_grouped(
             # The value draw is consumed only by accepted cells (pure
             # function of (key, counter), so skipping retiring cells
             # changes nothing downstream).
-            u_value = _draw(act_keys + np.uint64(counter) * golden + golden)
+            u_value = _splitmix_uniform(act_keys + np.uint64(counter) * golden + golden)
             act_z = act_z.take(keep) * u_value
             act_pos = next_pos.take(keep)
             act_limit = act_limit.take(keep)
@@ -641,6 +745,8 @@ class WeightedMinHash(Sketcher):
             raise ValueError(
                 f"rounded vector has L={rounded.L}, sketcher expects {self.L}"
             )
+        if rounded.counts.size and rounded.counts.max() > self.L:
+            raise ValueError(f"occupancy counts must not exceed L={self.L}")
         # rounded.indices are sorted and unique (SparseVector
         # invariant): the distinct-pair order of the chunked resolver,
         # and one pair per entry.
@@ -733,66 +839,141 @@ class WeightedMinHash(Sketcher):
         block chunk.
 
         Input arrays must be lexsorted by ``(block, count)`` with no
-        duplicate pairs.  Every pair is looked up in the memo cache
-        once, up front; the hit columns are held by reference, so a
-        put of a later chunk can evict them without losing them.  The
+        duplicate pairs and counts ``<= L``.  Every block's cache entry
+        is looked up once, up front, and each of its pairs counted as a
+        hit or a miss; hit columns and streams are held by reference,
+        so a put of a later chunk can evict them without losing them.
+        A block whose columns plus misses would pass
+        :func:`_break_even_columns` converts to its record stream.  The
         pairs are then walked in chunks of whole blocks (about
         :data:`_SIM_CELL_TARGET` simulation cells each): a chunk's
-        misses are simulated — one record stream per block, evaluated
-        at its missing occupancies — and inserted into the cache.
+        converting blocks are simulated up to ``L`` and cached as
+        streams, its stream blocks are answered by one vectorized
+        search each, and the misses of its column blocks are simulated
+        — one record stream per block, evaluated at its missing
+        occupancies — and added to their blocks' columns.
 
         Yields ``(lo, hi, minima)`` where ``minima`` is a fresh
         ``(hi - lo, m)`` array holding one row per pair ``lo..hi-1``,
         so no buffer ever spans all pairs.
         """
-        seed, m = self.seed, self.m
+        seed, m, L = self.seed, self.m, self.L
         num_pairs = pair_blocks.size
-        cache = self._live_cache()
-        cached: list[np.ndarray | None] | None = None
-        if cache is not None and len(cache):
-            cached = [
-                cache.get((seed, m, block, count))
-                for block, count in zip(pair_blocks.tolist(), pair_counts.tolist())
-            ]
         block_starts = np.flatnonzero(
             np.concatenate([[True], np.diff(pair_blocks) != 0])
         )
+        bounds = np.append(block_starts, num_pairs).tolist()
+        blocks = pair_blocks[block_starts].tolist()
+        # Per block: its stream (cached, or simulated by this call) and
+        # whether this call converts it; per pair: its cached column.
+        streams: list[_BlockStream | None] = [None] * len(blocks)
+        convert = np.zeros(len(blocks), dtype=bool)
+        on_stream = np.zeros(len(blocks), dtype=bool)
+        cached: list[np.ndarray | None] | None = None
+        cache = self._live_cache()
+        if cache is not None and len(cache):
+            cached = [None] * num_pairs
+            counts = pair_counts.tolist()
+            break_even = _break_even_columns(m, L)
+            hits = 0
+            for j, block in enumerate(blocks):
+                entry = cache.entry((seed, m, L, block))
+                lo, hi = bounds[j], bounds[j + 1]
+                if isinstance(entry, _BlockStream):
+                    streams[j] = entry
+                    on_stream[j] = True
+                    hits += hi - lo
+                    continue
+                found = 0
+                if entry is not None:
+                    for i in range(lo, hi):
+                        column = entry.get(counts[i])
+                        if column is not None:
+                            cached[i] = column
+                            found += 1
+                hits += found
+                if found < hi - lo:
+                    held = len(entry) if entry is not None else 0
+                    convert[j] = held + hi - lo - found > break_even
+            cache.hits += hits
+            cache.misses += num_pairs - hits
+        elif cache is not None:
+            convert = np.diff(bounds) > _break_even_columns(m, L)
+        on_stream |= convert
+
+        pair_on_columns = np.repeat(~on_stream, np.diff(bounds))
+        key_offsets = np.arange(m, dtype=np.int64) * _key_span(m)
         blocks_per_chunk = max(1, _SIM_CELL_TARGET // m)
-        bounds = np.append(block_starts[::blocks_per_chunk], num_pairs).tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for b0 in range(0, len(blocks), blocks_per_chunk):
+            b1 = min(b0 + blocks_per_chunk, len(blocks))
+            lo, hi = bounds[b0], bounds[b1]
             minima = np.empty((hi - lo, m))
+            new = np.flatnonzero(convert[b0:b1]) + b0
+            simulated = self._simulate_streams(pair_blocks[block_starts[new]])
+            for j, stream in zip(new.tolist(), simulated):
+                streams[j] = stream
+                if cache is not None:
+                    cache.put_stream((seed, m, L, blocks[j]), stream)
+            for j in (np.flatnonzero(on_stream[b0:b1]) + b0).tolist():
+                a, b = bounds[j], bounds[j + 1]
+                streams[j].minima(pair_counts[a:b], key_offsets, minima[a - lo : b - lo])
+            column_pairs = np.flatnonzero(pair_on_columns[lo:hi])
             if cached is None:
-                miss = np.arange(hi - lo)
+                miss = column_pairs
             else:
                 missing: list[int] = []
-                for j, column in enumerate(cached[lo:hi]):
+                for i in column_pairs.tolist():
+                    column = cached[lo + i]
                     if column is None:
-                        missing.append(j)
+                        missing.append(i)
                     else:
-                        minima[j] = column
+                        minima[i] = column
                 miss = np.asarray(missing, dtype=np.int64)
             if miss.size:
-                blocks = pair_blocks[lo:hi][miss]
-                counts = pair_counts[lo:hi][miss]
+                miss_blocks = pair_blocks[lo:hi][miss]
+                miss_counts = pair_counts[lo:hi][miss]
                 # The misses inherit the (block, count) ordering, so
                 # grouping by block is a run-length scan.
-                new_block = np.concatenate([[True], np.diff(blocks) != 0])
-                minima[miss] = simulate_block_minima_grouped(
-                    seed,
-                    m,
-                    blocks[new_block],
-                    np.append(np.flatnonzero(new_block), blocks.size),
-                    counts,
-                ).T
+                new_block = np.concatenate([[True], np.diff(miss_blocks) != 0])
+                runs = np.append(np.flatnonzero(new_block), miss.size)
+                fresh = np.ascontiguousarray(
+                    simulate_block_minima_grouped(
+                        seed, m, miss_blocks[new_block], runs, miss_counts
+                    ).T
+                )
+                minima[miss] = fresh
                 if cache is not None:
-                    cache.put_many(
-                        [
-                            (seed, m, block, count)
-                            for block, count in zip(blocks.tolist(), counts.tolist())
-                        ],
-                        minima[miss],
-                    )
+                    runs = runs.tolist()
+                    miss_counts = miss_counts.tolist()
+                    for block, a, b in zip(
+                        miss_blocks[new_block].tolist(), runs[:-1], runs[1:]
+                    ):
+                        cache.add_columns(
+                            (seed, m, L, block), miss_counts[a:b], fresh[a:b]
+                        )
             yield lo, hi, minima
+
+    def _simulate_streams(self, block_ids: np.ndarray) -> list[_BlockStream]:
+        """The record streams of ``block_ids`` up to ``L``, keyed for
+        lookup; simulated a few blocks at a time, so the transient
+        records stay about :data:`_SIM_CELL_TARGET` in number."""
+        m, L = self.m, self.L
+        per_call = max(1, int(_SIM_CELL_TARGET / (m * _break_even_columns(m, L) / 2)))
+        rep_offsets = np.arange(m, dtype=np.int64) * _key_span(m)
+        streams: list[_BlockStream] = []
+        for first in range(0, block_ids.size, per_call):
+            ids = block_ids[first : first + per_call]
+            offsets, positions, hashes = simulate_block_records(
+                self.seed, m, ids, np.full(ids.size, L)
+            )
+            keys = positions.astype(np.int64)
+            keys += np.repeat(np.tile(rep_offsets, ids.size), np.diff(offsets))
+            for a, b in zip(offsets[:-1:m].tolist(), offsets[m::m].tolist()):
+                padded = np.empty(b - a + 1)
+                padded[0] = np.nan
+                padded[1:] = hashes[a:b]
+                streams.append(_BlockStream(keys[a:b].copy(), padded))
+        return streams
 
     def sketch_batch(
         self, matrix: SparseMatrix | Sequence[SparseVector] | np.ndarray

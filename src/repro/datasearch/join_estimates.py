@@ -30,11 +30,7 @@ from typing import Any
 
 from repro.core.base import Sketcher
 from repro.datasearch.table import Table
-from repro.datasearch.vectorize import (
-    indicator_vector,
-    squared_value_vector,
-    value_vector,
-)
+from repro.datasearch.vectorize import table_vectors
 
 __all__ = ["JoinSketch", "JoinStatisticsEstimator"]
 
@@ -59,14 +55,12 @@ class JoinSketch:
         """Sketch the table's key column and every numeric column.
 
         All of the table's encoded vectors (indicator + per-column
-        value and squared-value vectors) go through one
-        ``sketch_batch`` call, so shared keys are hashed once.
+        value and squared-value vectors) come from the fused
+        :func:`table_vectors` encoder, which hashes the keys once, and
+        go through one ``sketch_batch`` call.
         """
         columns = list(table.columns)
-        vectors = [indicator_vector(table)]
-        vectors += [value_vector(table, column) for column in columns]
-        vectors += [squared_value_vector(table, column) for column in columns]
-        bank = sketcher.sketch_batch(vectors)
+        bank = sketcher.sketch_batch(table_vectors(table))
         sketches = sketcher.bank_to_sketches(bank)
         sketch = cls(
             table_name=table.name,

@@ -149,18 +149,22 @@ def table_row_arrays(
     every row; the per-row aggregation replays
     ``SparseVector.from_pairs`` exactly (``np.add.at`` over the same
     ``inverse``), so each pair is bit-identical to the corresponding
-    per-row encoder above.
+    per-row encoder above, and a non-finite row value (a NaN, or a
+    square that overflows) raises the same ``ValueError``.
     """
     indices = keys_to_indices(table.keys, domain)
     unique, inverse = np.unique(indices, return_inverse=True)
     columns = list(table.columns)
     stacked: list[np.ndarray] = [np.ones(indices.size)]
     stacked += [table.column(column) for column in columns]
-    stacked += [table.column(column) ** 2 for column in columns]
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        stacked += [table.column(column) ** 2 for column in columns]
     rows: list[tuple[np.ndarray, np.ndarray]] = []
     for values in stacked:
         summed = np.zeros(unique.size)
         np.add.at(summed, inverse, values)
+        if not np.isfinite(summed).all():
+            raise ValueError("values must be finite")
         keep = summed != 0.0
         rows.append((unique[keep], summed[keep]))
     return rows

@@ -79,13 +79,18 @@ def _parse_table(data: Any) -> Table:
         columns = data["columns"]
     except KeyError as exc:
         raise ValueError(f"'table' is missing required field {exc}") from None
+    if not isinstance(keys, list):
+        raise ValueError("'table.keys' must be an array")
     if not isinstance(columns, dict) or not columns:
         raise ValueError("'table.columns' must be a non-empty object")
-    return Table(
-        str(name),
-        list(keys),
-        {str(col): np.asarray(values, dtype=np.float64) for col, values in columns.items()},
-    )
+    arrays = {str(col): np.asarray(values, dtype=np.float64) for col, values in columns.items()}
+    for col, values in arrays.items():
+        # The squared-value encoding must stay finite too.
+        with np.errstate(over="ignore"):
+            squares = values * values
+        if not np.isfinite(squares).all():
+            raise ValueError(f"column {col!r} holds a non-finite value or one whose square overflows")
+    return Table(str(name), keys, arrays)
 
 
 def _hit_payload(hit: Any) -> dict[str, Any]:
@@ -194,11 +199,17 @@ class _Handler(BaseHTTPRequestHandler):
         candidates = body.get("candidates")
         if candidates is not None and candidates not in ("scan", "lsh"):
             raise ValueError(f"unknown candidates {candidates!r}")
+        top_k = body.get("top_k", 10)
+        if isinstance(top_k, bool) or not isinstance(top_k, int) or top_k < 1:
+            raise ValueError(f"top_k must be an integer >= 1, got {top_k!r}")
+        by = body.get("by", "correlation")
+        if by not in ("correlation", "inner_product"):
+            raise ValueError(f"unknown by {by!r}")
         return ServeRequest(
             table=table,
             column=str(column),
-            top_k=int(body.get("top_k", 10)),
-            by=str(body.get("by", "correlation")),
+            top_k=top_k,
+            by=by,
             candidates=candidates,
             deadline=time.monotonic() + deadline_ms / 1e3,
             request_id=request_id or "",

@@ -40,6 +40,20 @@ def patterned_minima(seed, m, block_ids, query_indptr, query_counts):
     return np.where(low, 0.25, 0.5)
 
 
+def constant_records(seed, m, block_ids, limits, max_rounds=512):
+    """One record per stream, at slot 1: :func:`constant_minima`'s
+    value at every occupancy."""
+    cells = m * np.asarray(block_ids).size
+    return np.arange(cells + 1), np.ones(cells), np.full(cells, 0.5)
+
+
+def patterned_records(seed, m, block_ids, limits, max_rounds=512):
+    """One record per stream with :func:`patterned_minima`'s value."""
+    cells = m * np.asarray(block_ids).size
+    low = (np.asarray(block_ids)[:, None] + np.arange(m)[None, :]) % 3 == 0
+    return np.arange(cells + 1), np.ones(cells), np.where(low, 0.25, 0.5).ravel()
+
+
 @pytest.fixture
 def two_blocks_per_chunk(monkeypatch):
     monkeypatch.setattr(wmh, "_SIM_CELL_TARGET", 8)  # m = 4
@@ -47,10 +61,19 @@ def two_blocks_per_chunk(monkeypatch):
 
 @pytest.mark.usefixtures("two_blocks_per_chunk")
 class TestChunkBoundariesAndTies:
-    @pytest.mark.parametrize("simulator", [None, constant_minima, patterned_minima])
-    def test_batch_matches_scalar_loop(self, monkeypatch, simulator):
-        if simulator is not None:
-            monkeypatch.setattr(wmh, "simulate_block_minima_grouped", simulator)
+    @pytest.mark.parametrize(
+        "simulators",
+        [None, (constant_minima, constant_records), (patterned_minima, patterned_records)],
+    )
+    @pytest.mark.parametrize("streams", ["at_break_even", "from_two_columns"])
+    def test_batch_matches_scalar_loop(self, monkeypatch, simulators, streams):
+        if simulators is not None:
+            monkeypatch.setattr(wmh, "simulate_block_minima_grouped", simulators[0])
+            monkeypatch.setattr(wmh, "simulate_block_records", simulators[1])
+        if streams == "from_two_columns":
+            # Every block with a second occupancy converts, so warm
+            # calls are served from record streams.
+            monkeypatch.setattr(wmh, "_break_even_columns", lambda m, L: 1.0)
         corpus = tie_corpus()
         reference = WeightedMinHash(m=4, seed=5, L=1 << 12, cache_bytes=0)
         expected = [reference.sketch(v) for v in corpus]
@@ -65,8 +88,9 @@ class TestChunkBoundariesAndTies:
 
     def test_cache_sees_the_same_gets_and_puts(self, monkeypatch):
         monkeypatch.setattr(wmh, "simulate_block_minima_grouped", constant_minima)
+        monkeypatch.setattr(wmh, "simulate_block_records", constant_records)
         corpus = tie_corpus()
-        # 40 entries of 4 float64 each: the first call already evicts.
+        # 40 columns of 4 float64 each: the first call already evicts.
         sketcher = WeightedMinHash(m=4, seed=5, L=1 << 12, cache_bytes=40 * 32)
         cache = sketcher._cache
         seen = []
@@ -78,9 +102,11 @@ class TestChunkBoundariesAndTies:
         ):
             run()
             seen.append((cache.hits, cache.misses, cache.evictions))
-        # Recorded from the unstreamed kernel, which looked every pair
-        # up, then simulated and inserted all misses in one pass.
-        assert seen == [(0, 0, 63), (40, 63, 126), (48, 80, 143), (80, 143, 206)]
+        # Recorded with one cache entry per block (evictions count
+        # blocks); no block here reaches its break-even, so every entry
+        # holds columns.  An empty cache is not consulted, so the first
+        # call counts no lookups.
+        assert seen == [(0, 0, 18), (38, 65, 38), (46, 82, 43), (75, 148, 70)]
 
 
 def disjoint_rows(rows: int, nnz: int = 16) -> SparseMatrix:

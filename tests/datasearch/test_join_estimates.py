@@ -10,6 +10,11 @@ import pytest
 from repro.core.wmh import WeightedMinHash
 from repro.datasearch.join_estimates import JoinSketch, JoinStatisticsEstimator
 from repro.datasearch.table import Table
+from repro.datasearch.vectorize import (
+    indicator_vector,
+    squared_value_vector,
+    value_vector,
+)
 from repro.sketches.jl import JohnsonLindenstrauss
 
 
@@ -52,6 +57,33 @@ class TestJoinSketch:
         sketch = JoinSketch.build(table_a, sketcher)
         # indicator + (value + square) per column = 3 sketches.
         assert sketch.storage_words() == pytest.approx(3 * sketcher.storage_words())
+
+    @pytest.mark.parametrize(
+        "sketcher",
+        [WeightedMinHash(m=32, seed=2, L=1 << 16), JohnsonLindenstrauss(m=32, seed=2)],
+    )
+    def test_build_matches_the_per_vector_encoders(self, sketcher):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(2, 50))
+        values[0, ::7] = 0.0  # exact zeros leave the value supports
+        table = Table(
+            "mixed",
+            keys=[f"k{j}" for j in rng.choice(500, size=50, replace=False)],
+            columns={"a": values[0], "b": values[1]},
+        )
+        built = JoinSketch.build(table, sketcher)
+        vectors = [indicator_vector(table)]
+        vectors += [value_vector(table, c) for c in ("a", "b")]
+        vectors += [squared_value_vector(table, c) for c in ("a", "b")]
+        expected = sketcher.bank_to_sketches(sketcher.sketch_batch(vectors))
+        got = [built.indicator, built.values["a"], built.values["b"]]
+        got += [built.squares["a"], built.squares["b"]]
+        for ours, theirs in zip(got, expected):
+            for name, field in vars(theirs).items():
+                if isinstance(field, np.ndarray):
+                    np.testing.assert_array_equal(getattr(ours, name), field)
+                else:
+                    assert getattr(ours, name) == field
 
     def test_mixed_methods_rejected(self, figure2_tables):
         table_a, table_b = figure2_tables

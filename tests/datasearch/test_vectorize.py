@@ -11,6 +11,7 @@ from repro.datasearch.vectorize import (
     key_to_index,
     keys_to_indices,
     squared_value_vector,
+    table_row_arrays,
     value_vector,
 )
 from repro.hashing.primes import MERSENNE_31
@@ -102,3 +103,11 @@ class TestEncodings:
         table = Table("t", keys=[1, 2], columns={"v": [0.0, 2.0]})
         assert value_vector(table, "v").nnz == 1
         assert indicator_vector(table).nnz == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1e200])  # 1e200 squared overflows
+    def test_fused_encoder_rejects_what_the_per_row_encoders_reject(self, bad):
+        table = Table("t", keys=[1, 2, 3], columns={"v": [bad, 1.0, 2.0]})
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            squared_value_vector(table, "v")
+        with pytest.raises(ValueError, match="finite"):
+            table_row_arrays(table)

@@ -9,6 +9,7 @@ import pytest
 
 from repro import faults
 from repro.serve import QueryServer, ServeClient, ServeError, ServerConfig
+from repro.serve.client import table_payload
 from repro.store import LakeStore, QuerySession, StoreError
 
 from .conftest import hit_tuples, hits_fingerprint, make_query
@@ -104,6 +105,83 @@ class TestTypedFailures:
         with pytest.raises(ServeError) as err:
             ServeClient(server.url).query(make_query(), "signal", deadline_ms=-5)
         assert err.value.status == 400
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("values", [float("nan")]),
+            ("values", [float("inf")]),
+            ("values", [1e200]),  # its square overflows
+            ("keys", "abc"),
+            ("top_k", 0),
+            ("top_k", -1),
+            ("top_k", True),
+            ("by", "bogus"),
+        ],
+    )
+    def test_malformed_query_is_400(self, server, field, value):
+        payload = {
+            "table": table_payload(make_query()),
+            "column": "signal",
+            "top_k": 10,
+            "by": "correlation",
+        }
+        if field == "values":
+            payload["table"]["columns"]["signal"][3:4] = value
+        elif field == "keys":
+            # Three values, so a string read as a key list would fit.
+            payload["table"] = {"name": "q", "keys": value, "columns": {"signal": [1.0, 2.0, 3.0]}}
+        else:
+            payload[field] = value
+        status, data = ServeClient(server.url)._request("POST", "/query", payload)
+        assert status == 400
+        assert data["error"] == "bad_request"
+
+    def test_good_query_beside_a_nan_query_succeeds(self, serve_store, server):
+        client = ServeClient(server.url, max_attempts=1)
+        bad = table_payload(make_query(seed=7))
+        bad["columns"]["signal"][0] = float("nan")
+        outcomes: dict[str, object] = {}
+
+        def send(name, fn):
+            try:
+                outcomes[name] = fn()
+            except ServeError as exc:
+                outcomes[name] = exc
+
+        # The first query holds the batcher, so the next two would
+        # share one drained batch if both were admitted.
+        with faults.failpoints("serve.batch=sleep:0.3"):
+            threads = [
+                threading.Thread(
+                    target=send,
+                    args=("hold", lambda: client.query(make_query(seed=1), "signal")),
+                )
+            ]
+            threads[0].start()
+            time.sleep(0.1)
+            threads += [
+                threading.Thread(
+                    target=send,
+                    args=("good", lambda: client.query(make_query(), "signal")),
+                ),
+                threading.Thread(
+                    target=send,
+                    args=(
+                        "bad",
+                        lambda: client._request(
+                            "POST", "/query", {"table": bad, "column": "signal"}
+                        ),
+                    ),
+                ),
+            ]
+            for t in threads[1:]:
+                t.start()
+            for t in threads:
+                t.join()
+        assert outcomes["bad"][0] == 400
+        expected = hit_tuples(direct_hits(serve_store, make_query()))
+        assert list(hits_fingerprint(outcomes["good"]["hits"])) == expected
 
     def test_deadline_expiry_is_typed_504(self, server):
         # Stall the batcher long enough that a 100ms deadline must pass.
