@@ -44,11 +44,13 @@ which batch, or which lake append asked for it.  Real lakes repeat
 blocks constantly (query tables join on the lake's keys), so both the
 scalar and the batch path consult a bounded, process-wide LRU
 (:class:`MinimaCache`) before simulating.  It holds one entry per
-block.  A block starts as a dict of minima columns by occupancy; once
-the next miss would make those columns outweigh the block's whole
-record stream up to ``L`` (about ``2 (ln L + γ)`` columns: a stream
-holds ``~ln L + γ`` records of 16 bytes per repetition, a column 8),
-the stream is simulated once, kept, and the columns dropped.  A stream
+block.  A block starts as its minima columns: one ``(columns, m)``
+array of its own, indexed by occupancy, which a later miss replaces by
+a grown copy.  Once the next miss would make those columns outweigh
+the block's whole record stream up to ``L`` (about ``2 (ln L + γ)``
+columns: a stream holds ``~ln L + γ`` records of 16 bytes per
+repetition, a column 8), the stream is simulated once, kept, and the
+columns dropped.  A stream
 answers any occupancy ``k`` as its last record at a position ``<= k``,
 so only blocks that are new or still on columns reach the record
 simulation.  Cache hits return the exact floats the simulation would
@@ -65,6 +67,22 @@ and a strict ``<`` keeps the scalar ``argmin``'s first-entry tie-break.
 Beside the output bank, the working set is one chunk and a few integer
 arrays per non-zero; nothing is ``pairs x m``.  The scalar path is the
 one-row case of the same resolver and fold.
+
+A chunk's miss simulation is split by whole blocks across the CPUs the
+process may use: the calling thread simulates one part while a
+process-wide helper thread (one per further CPU, created on first use)
+simulates the rest, and the parts are stitched back in block order.  A
+block's minima are a pure function of ``(seed, repetition, block,
+occupancy)``, so the split is bit-identical; every cache lookup and
+insert, and the hit, miss and LRU bookkeeping, stay on the calling
+thread.  Helpers run at the lowest thread priority, so they only
+borrow idle CPU, and a part no helper has started when the calling
+thread finishes its own runs on the calling thread.  A chunk under
+about 1/32 of the cell target per part (63 miss blocks at m = 200) is
+not split: one query table's few dozen keys stay on the calling thread.
+A forked child forgets its parent's helpers (they do not exist in it),
+and ingest pool workers keep the kernel on one thread, so workers x
+threads stays within the CPUs.
 """
 
 from __future__ import annotations
@@ -74,6 +92,7 @@ import os
 import threading
 import warnings
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
@@ -91,6 +110,7 @@ __all__ = [
     "MinimaCache",
     "DEFAULT_L",
     "DEFAULT_CACHE_BYTES",
+    "set_kernel_threads",
     "shared_minima_cache",
     "simulate_block_minima",
     "simulate_block_minima_grouped",
@@ -143,9 +163,9 @@ def _env_cache_bytes(default: int = 256 * 1024 * 1024) -> int:
 #: bytes and a block holds at most ``2 (ln L + γ)`` of them (~37 at the
 #: default ``L``) before they give way to its record stream of about
 #: the same size, so the default holds ~160k columns, or ~4.5k streams,
-#: at the experiments' m = 200.  Python objects come on top: ~220 bytes
-#: a column (array header, dict slot, and a share of the block's key and
-#: dict) when blocks hold 7 columns, traced.
+#: at the experiments' m = 200.  Python objects come on top: ~130 bytes
+#: a column when blocks hold 7 columns (about 870 a block: its key, LRU
+#: slot, occupancy index and one array header), traced.
 DEFAULT_CACHE_BYTES = _env_cache_bytes()
 
 
@@ -198,20 +218,50 @@ class _BlockStream:
         np.take(self.hashes, at, out=out, mode="clip")
 
 
+class _BlockColumns:
+    """One block's minima columns: row ``rows[k]`` of the contiguous
+    ``(len(rows), m)`` array ``columns`` is the column at occupancy
+    ``k``.  Never mutated; :meth:`grown` returns a new entry."""
+
+    __slots__ = ("rows", "columns")
+
+    def __init__(self, rows: dict[int, int], columns: np.ndarray) -> None:
+        self.rows = rows
+        self.columns = columns
+
+    @property
+    def nbytes(self) -> int:
+        return self.columns.nbytes
+
+    def grown(self, counts: Sequence[int], columns: np.ndarray) -> "_BlockColumns":
+        """This entry with ``columns[i]`` at occupancy ``counts[i]``,
+        replacing a column it already holds there."""
+        if self.rows.keys().isdisjoint(counts):
+            old = self.columns
+            rows = dict(self.rows)
+        else:
+            replaced = set(counts)
+            kept = [k for k in self.rows if k not in replaced]
+            old = self.columns[[self.rows[k] for k in kept]]
+            rows = {k: i for i, k in enumerate(kept)}
+        rows.update(zip(counts, range(len(old), len(old) + len(counts))))
+        return _BlockColumns(rows, np.concatenate([old, columns]))
+
+
 def _entry_nbytes(entry: Any) -> int:
-    if isinstance(entry, _BlockStream):
-        return entry.nbytes
-    return sum(column.nbytes for column in entry.values())
+    return entry.nbytes
 
 
 class MinimaCache:
     """Bounded LRU of per-block record-process minima.
 
-    Keys are ``(seed, m, L, block)`` tuples.  An entry is either a dict
-    mapping occupancy ``k`` to the contiguous ``(m,)`` float64 column
-    that :func:`simulate_block_minima` would produce, or, once the
-    columns would outweigh it, the block's whole record stream up to
-    ``L`` (a :class:`_BlockStream`), which answers every occupancy.
+    Keys are ``(seed, m, L, block)`` tuples.  An entry is either the
+    block's minima columns (a :class:`_BlockColumns`: one contiguous
+    float64 array whose rows are the ``(m,)`` columns that
+    :func:`simulate_block_minima` would produce, indexed by occupancy
+    ``k``), or, once the columns would outweigh it, the block's whole
+    record stream up to ``L`` (a :class:`_BlockStream`), which answers
+    every occupancy.
     Either way a hit is bit-identical to re-simulation, so the cache
     can never change a sketch, only the time it takes to build one.
 
@@ -248,9 +298,10 @@ class MinimaCache:
         return self._payload_bytes
 
     def entry(self, key: tuple) -> Any:
-        """The block's column dict or :class:`_BlockStream`, or ``None``.
+        """The block's :class:`_BlockColumns` or :class:`_BlockStream`,
+        or ``None``.
 
-        Callers must not mutate a column dict; :meth:`add_columns` grows
+        Callers must not mutate an entry; :meth:`add_columns` replaces
         it.  Hits and misses are counted by the caller, per occupancy.
         """
         with self._lock:
@@ -266,23 +317,27 @@ class MinimaCache:
 
     def add_columns(self, key: tuple, counts: Sequence[int], columns: np.ndarray) -> None:
         """Add ``columns[i]`` (rows of a ``(len(counts), m)`` array) to
-        the block's column dict under occupancy ``counts[i]``.
+        the block's columns under occupancy ``counts[i]``.
 
-        Each row is copied into its own buffer so eviction actually
-        releases memory — storing views of ``columns`` would keep the
-        whole batch buffer pinned while any single view survived,
-        silently breaking the ``max_bytes`` bound.
+        A block keeps its columns in one array of its own, so eviction
+        actually releases memory — storing views of ``columns`` would
+        keep the whole batch buffer pinned while any single view
+        survived, silently breaking the ``max_bytes`` bound — and a
+        column costs no Python object of its own.  Growing a block
+        copies its columns into a new array: at most
+        :func:`_break_even_columns` of them.
         """
         if self.max_bytes <= 0:
             return
-        copies = list(map(np.copy, columns))
+        counts = list(counts)
         with self._lock:
-            # A dict is grown only while out of the cache, so its size
+            # An entry is replaced while out of the cache, so its size
             # is accounted exactly once before and once after.
             entry = self._pop(key)
-            if not isinstance(entry, dict):
-                entry = {}
-            entry.update(zip(counts, copies))
+            if isinstance(entry, _BlockColumns):
+                entry = entry.grown(counts, columns)
+            else:
+                entry = _BlockColumns(dict(zip(counts, range(len(counts)))), columns.copy())
             self._insert(key, entry)
 
     def put_stream(self, key: tuple, stream: _BlockStream) -> None:
@@ -518,7 +573,9 @@ def simulate_block_minima_grouped(
     -------
     ``(m, Q)`` array: entry ``(r, q)`` equals
     ``simulate_block_minima(seed, m, [block of q], [k_q])[r, 0]``
-    exactly — the batch and scalar paths are bit-identical.
+    exactly — the batch and scalar paths are bit-identical.  It is the
+    transpose of a C-contiguous ``(Q, m)`` array, so the batch kernel's
+    one-row-per-pair layout is its ``.T``, with no copy.
     """
     block_ids = np.asarray(block_ids, dtype=np.int64)
     query_indptr = np.asarray(query_indptr, dtype=np.int64)
@@ -544,7 +601,8 @@ def simulate_block_minima_grouped(
     # Active-cell state, compacted as cells retire.  Record 0 is the
     # hash of slot 1; every block has k >= 1 so it is always accepted.
     # Each cell walks its block's ascending query occupancies with a
-    # cursor (act_qptr .. qend) and flat output base repetition * Q.
+    # cursor (act_qptr .. qend); query q of repetition r is written at
+    # q * m + r.
     limits = query_counts[query_indptr[1:] - 1].astype(np.float64)  # k_max per block
     thresholds = query_counts.astype(np.float64)
     act_keys = keys
@@ -553,8 +611,8 @@ def simulate_block_minima_grouped(
     act_limit = np.broadcast_to(limits, (m, num_blocks)).ravel()
     act_qptr = np.tile(query_indptr[:-1], m)
     act_qend = np.tile(query_indptr[1:], m)
-    act_base = np.repeat(np.arange(m, dtype=np.int64) * num_queries, num_blocks)
-    out = np.empty(m * num_queries)
+    act_base = np.repeat(np.arange(m, dtype=np.int64), num_blocks)
+    out = np.empty(num_queries * m)
     last_query = num_queries - 1
 
     counter = 1
@@ -583,7 +641,7 @@ def simulate_block_minima_grouped(
             ready = np.flatnonzero(thresholds[act_qptr] < next_pos)
             while ready.size:
                 cursor = act_qptr[ready]
-                out[act_base[ready] + cursor] = act_z[ready]
+                out[act_base[ready] + cursor * m] = act_z[ready]
                 cursor += 1
                 act_qptr[ready] = cursor
                 more = (cursor < act_qend[ready]) & (
@@ -607,7 +665,117 @@ def simulate_block_minima_grouped(
             act_base = act_base.take(keep)
             counter += 2
 
-    return out.reshape(m, num_queries)
+    return out.reshape(num_queries, m).T
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+#: Threads a chunk's miss simulation is split across: the calling
+#: thread plus helpers.  See :func:`set_kernel_threads`.
+_KERNEL_THREADS = _usable_cpus()
+
+#: A split part simulates at least this many (repetition, block) cells,
+#: a 32nd of a chunk: at m = 200 a chunk splits in two from 63 miss
+#: blocks, so a query table's few dozen keys stay on the calling
+#: thread, where handing half of them off costs more than it saves.
+_MIN_PART_CELLS = _SIM_CELL_TARGET // 32
+
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+
+
+def set_kernel_threads(threads: int) -> None:
+    """Cap the threads this process's batch kernel simulates on (at
+    least 1; 1 keeps every simulation on the calling thread).  Ingest
+    pool workers set 1, so workers x threads stays within the CPUs."""
+    global _KERNEL_THREADS
+    _KERNEL_THREADS = max(1, int(threads))
+
+
+def _idle_priority() -> None:
+    """Lower the calling thread (only: Linux takes a thread id) to the
+    lowest priority, so a helper borrows idle CPU and never slows a
+    busy neighbour; a platform without the call keeps the default."""
+    try:
+        os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+    except (AttributeError, OSError):
+        pass
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The process-wide helper threads, created on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(
+                max_workers=max(1, _usable_cpus() - 1),
+                thread_name_prefix="wmh-kernel",
+                initializer=_idle_priority,
+            )
+        return _helper
+
+
+def _forget_helper() -> None:
+    """In a forked child: the parent's helper threads were not forked,
+    so no part submitted to their executor would ever start (the
+    calling thread would simulate them all); the next use makes a new
+    one."""
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _simulate_split(
+    seed: int,
+    m: int,
+    block_ids: np.ndarray,
+    query_indptr: np.ndarray,
+    query_counts: np.ndarray,
+) -> np.ndarray:
+    """:func:`simulate_block_minima_grouped` as a C-contiguous
+    ``(Q, m)`` array, split by whole blocks across the kernel threads.
+
+    The calling thread simulates the first part while helpers simulate
+    the others; a part no helper has started by then runs on the
+    calling thread too.  A block's minima are a pure function of
+    ``(seed, repetition, block, occupancy)``, so the parts stitched in
+    block order are bit-identical to one call.
+    """
+    parts = min(_KERNEL_THREADS, block_ids.size * m // _MIN_PART_CELLS)
+    if parts <= 1:
+        return np.ascontiguousarray(
+            simulate_block_minima_grouped(seed, m, block_ids, query_indptr, query_counts).T
+        )
+    cuts = [block_ids.size * i // parts for i in range(parts + 1)]
+
+    def part(i: int) -> np.ndarray:
+        b0, b1 = cuts[i], cuts[i + 1]
+        q0, q1 = query_indptr[b0], query_indptr[b1]
+        return simulate_block_minima_grouped(
+            seed, m, block_ids[b0:b1], query_indptr[b0 : b1 + 1] - q0, query_counts[q0:q1]
+        )
+
+    pool = _helper_pool()
+    futures = [pool.submit(part, i) for i in range(1, parts)]
+    try:
+        results = [part(0)]
+        for i, future in enumerate(futures, 1):
+            results.append(part(i) if future.cancel() else future.result())
+    finally:
+        for future in futures:
+            future.cancel()
+    return np.concatenate([result.T for result in results])
 
 
 def _fold_minima(
@@ -886,14 +1054,15 @@ class WeightedMinHash(Sketcher):
                     continue
                 found = 0
                 if entry is not None:
+                    rows, columns = entry.rows, entry.columns
                     for i in range(lo, hi):
-                        column = entry.get(counts[i])
-                        if column is not None:
-                            cached[i] = column
+                        row = rows.get(counts[i])
+                        if row is not None:
+                            cached[i] = columns[row]
                             found += 1
                 hits += found
                 if found < hi - lo:
-                    held = len(entry) if entry is not None else 0
+                    held = len(entry.rows) if entry is not None else 0
                     convert[j] = held + hi - lo - found > break_even
             cache.hits += hits
             cache.misses += num_pairs - hits
@@ -907,20 +1076,18 @@ class WeightedMinHash(Sketcher):
         for b0 in range(0, len(blocks), blocks_per_chunk):
             b1 = min(b0 + blocks_per_chunk, len(blocks))
             lo, hi = bounds[b0], bounds[b1]
-            minima = np.empty((hi - lo, m))
             new = np.flatnonzero(convert[b0:b1]) + b0
             simulated = self._simulate_streams(pair_blocks[block_starts[new]])
             for j, stream in zip(new.tolist(), simulated):
                 streams[j] = stream
                 if cache is not None:
                     cache.put_stream((seed, m, L, blocks[j]), stream)
-            for j in (np.flatnonzero(on_stream[b0:b1]) + b0).tolist():
-                a, b = bounds[j], bounds[j + 1]
-                streams[j].minima(pair_counts[a:b], key_offsets, minima[a - lo : b - lo])
             column_pairs = np.flatnonzero(pair_on_columns[lo:hi])
+            minima = None
             if cached is None:
                 miss = column_pairs
             else:
+                minima = np.empty((hi - lo, m))
                 missing: list[int] = []
                 for i in column_pairs.tolist():
                     column = cached[lo + i]
@@ -936,12 +1103,7 @@ class WeightedMinHash(Sketcher):
                 # grouping by block is a run-length scan.
                 new_block = np.concatenate([[True], np.diff(miss_blocks) != 0])
                 runs = np.append(np.flatnonzero(new_block), miss.size)
-                fresh = np.ascontiguousarray(
-                    simulate_block_minima_grouped(
-                        seed, m, miss_blocks[new_block], runs, miss_counts
-                    ).T
-                )
-                minima[miss] = fresh
+                fresh = _simulate_split(seed, m, miss_blocks[new_block], runs, miss_counts)
                 if cache is not None:
                     runs = runs.tolist()
                     miss_counts = miss_counts.tolist()
@@ -951,6 +1113,17 @@ class WeightedMinHash(Sketcher):
                         cache.add_columns(
                             (seed, m, L, block), miss_counts[a:b], fresh[a:b]
                         )
+            if minima is None:
+                if miss.size == hi - lo:
+                    # All misses, none cached: the simulation's own buffer.
+                    yield lo, hi, fresh
+                    continue
+                minima = np.empty((hi - lo, m))
+            if miss.size:
+                minima[miss] = fresh
+            for j in (np.flatnonzero(on_stream[b0:b1]) + b0).tolist():
+                a, b = bounds[j], bounds[j + 1]
+                streams[j].minima(pair_counts[a:b], key_offsets, minima[a - lo : b - lo])
             yield lo, hi, minima
 
     def _simulate_streams(self, block_ids: np.ndarray) -> list[_BlockStream]:
@@ -1051,11 +1224,12 @@ class WeightedMinHash(Sketcher):
             for lo, hi, minima in self._pair_minima_chunks(
                 sorted_blocks[new_pair], sorted_counts[new_pair]
             ):
-                # The chunk's entries in row-major order.  The gather
-                # is cut to the chunk's own buffer size (or the cell
-                # target), however many rows share its pairs.
+                # The chunk's entries in row-major order, folded about
+                # a cell target at a time: the fold's few entries x m
+                # temporaries then stay cache-sized, well under the
+                # chunk's own buffer, however many rows share its pairs.
                 chunk = np.sort(perm[pair_starts[lo] : pair_starts[hi]])
-                step = max(hi - lo, _SIM_CELL_TARGET // self.m)
+                step = max(1, _SIM_CELL_TARGET // self.m)
                 for first in range(0, chunk.size, step):
                     part = chunk[first : first + step]
                     _fold_minima(

@@ -150,7 +150,11 @@ def table_row_arrays(
     ``SparseVector.from_pairs`` exactly (``np.add.at`` over the same
     ``inverse``), so each pair is bit-identical to the corresponding
     per-row encoder above, and a non-finite row value (a NaN, or a
-    square that overflows) raises the same ``ValueError``.
+    square that overflows) raises the same ``ValueError``.  So does a
+    row with non-zero entries whose norm underflows to zero, naming
+    its column: values all below about ``1e-162`` (the value row) or
+    ``1e-81`` (the squared row).  No sketch that scales by the norm
+    can represent such a row; WMH's rounding rejects it.
     """
     indices = keys_to_indices(table.keys, domain)
     unique, inverse = np.unique(indices, return_inverse=True)
@@ -159,14 +163,21 @@ def table_row_arrays(
     stacked += [table.column(column) for column in columns]
     with np.errstate(over="ignore"):  # an overflow is rejected below
         stacked += [table.column(column) ** 2 for column in columns]
+    labels = ["keys"] + [f"column {c!r}" for c in columns]
+    labels += [f"column {c!r} (squared)" for c in columns]
     rows: list[tuple[np.ndarray, np.ndarray]] = []
-    for values in stacked:
+    for label, values in zip(labels, stacked):
         summed = np.zeros(unique.size)
         np.add.at(summed, inverse, values)
         if not np.isfinite(summed).all():
             raise ValueError("values must be finite")
         keep = summed != 0.0
-        rows.append((unique[keep], summed[keep]))
+        row = summed[keep]
+        with np.errstate(over="ignore"):  # an infinite norm is not this check's
+            underflows = row.size and np.linalg.norm(row) == 0.0
+        if underflows:
+            raise ValueError(f"{label}: values too small to sketch (the row's norm underflows)")
+        rows.append((unique[keep], row))
     return rows
 
 

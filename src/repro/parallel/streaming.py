@@ -51,6 +51,7 @@ import numpy as np
 
 from repro import faults, obs
 from repro.core.base import Sketcher
+from repro.core.wmh import set_kernel_threads
 from repro.datasearch.table import Table
 from repro.datasearch.vectorize import table_row_arrays
 from repro.io.serialize import (
@@ -132,7 +133,11 @@ _POOLS: dict[int, ProcessPoolExecutor] = {}
 def _get_pool(workers: int) -> ProcessPoolExecutor:
     pool = _POOLS.get(workers)
     if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        # A worker keeps the WMH kernel on its own thread: the workers
+        # already share out the CPUs.
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=set_kernel_threads, initargs=(1,)
+        )
         _POOLS[workers] = pool
     return pool
 
@@ -316,11 +321,15 @@ def chunk_matrix(tables: Sequence[Table]) -> SparseMatrix:
     Concatenates the fused per-table row arrays
     (:func:`repro.datasearch.vectorize.table_row_arrays`) without ever
     materializing per-row ``SparseVector`` objects; rows are identical
-    to ``SketchIndex.encode_table`` output, in the same order.
+    to ``SketchIndex.encode_table`` output, in the same order.  A table
+    its encoder rejects raises a ``ValueError`` that names it.
     """
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for table in tables:
-        pairs.extend(table_row_arrays(table))
+        try:
+            pairs.extend(table_row_arrays(table))
+        except ValueError as exc:
+            raise ValueError(f"table {table.name!r}: {exc}") from exc
     sizes = np.fromiter((idx.size for idx, _ in pairs), np.int64, len(pairs))
     indptr = np.concatenate([[0], np.cumsum(sizes)])
     indices = np.concatenate([idx for idx, _ in pairs])

@@ -17,6 +17,8 @@ queues unboundedly and nothing hangs:
   the survivors by ``(top_k, by, candidates)``, and serves each group
   with **one** ``search_many`` pass over the stored banks, so
   concurrent clients share bank traversals instead of multiplying them;
+  when that pass raises, each request runs again alone, so a bad query
+  fails only itself (``ValueError``: 400, anything else: 500);
 * the batcher pins ONE snapshot per drained batch, so every response in
   a batch is computed against a single committed generation;
 * the ``serve.batch`` failpoint sits directly before each group's
@@ -274,24 +276,26 @@ class MicroBatcher:
             snapshot.release()
 
     def _run_group(self, snapshot: "Snapshot", group: list[ServeRequest]) -> None:
-        session = snapshot.session
-        head = group[0]
         try:
             faults.failpoint(FP_BATCH)
-            results = session.search_many(
-                [request.table for request in group],
-                [request.column for request in group],
-                top_k=head.top_k,
-                by=head.by,
-                candidates=head.candidates,
-            )
+            results = self._search(snapshot, group)
         except Exception as exc:  # typed response, never a dead batcher thread
-            obs.count("serve.errors")
+            if len(group) == 1:
+                _fail_typed(group[0], exc)
+                return
+            # One bad request must not fail its neighbours: each runs
+            # again alone, on the same snapshot.
+            results = []
             for request in group:
-                request.fail(500, "internal", f"{type(exc).__name__}: {exc}")
-            return
+                try:
+                    results.append(self._search(snapshot, [request])[0])
+                except Exception as alone:
+                    _fail_typed(request, alone)
+                    results.append(None)
         now = time.monotonic()
         for request, hits in zip(group, results):
+            if hits is None:
+                continue
             if request.remaining(now) <= 0.0:
                 obs.count("serve.timeouts.executed")
                 request.fail(
@@ -299,3 +303,24 @@ class MicroBatcher:
                 )
             else:
                 request.succeed(hits, snapshot)
+
+    @staticmethod
+    def _search(snapshot: "Snapshot", group: list[ServeRequest]) -> list:
+        head = group[0]
+        return snapshot.session.search_many(
+            [request.table for request in group],
+            [request.column for request in group],
+            top_k=head.top_k,
+            by=head.by,
+            candidates=head.candidates,
+        )
+
+
+def _fail_typed(request: ServeRequest, exc: Exception) -> None:
+    """A query the session rejected (``ValueError``: its input) is a
+    400; anything else is a 500."""
+    obs.count("serve.errors")
+    if isinstance(exc, ValueError):
+        request.fail(400, "bad_request", str(exc))
+    else:
+        request.fail(500, "internal", f"{type(exc).__name__}: {exc}")

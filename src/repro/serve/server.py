@@ -35,6 +35,7 @@ import numpy as np
 
 from repro import faults, obs
 from repro.datasearch.table import Table
+from repro.datasearch.vectorize import table_row_arrays
 from repro.serve.admission import AdmissionQueue, MicroBatcher, ServeRequest
 from repro.serve.snapshot import SnapshotManager
 
@@ -50,6 +51,13 @@ FP_DRAIN = faults.register(
 #: Server-side cap on client deadlines — a client asking for an hour
 #: still cannot pin a handler thread for an hour.
 MAX_DEADLINE_MS = 120_000.0
+
+#: Below this magnitude a value may leave an encoded row whose norm
+#: underflows to zero (its squared row's, below about 1e-81); a table
+#: holding one is checked by the encoder itself before it is admitted.
+#: Sums of larger values that do not cancel to zero stay above 1e-86,
+#: far from underflow.
+_TINY_VALUE = 1e-70
 
 
 @dataclass
@@ -90,7 +98,10 @@ def _parse_table(data: Any) -> Table:
             squares = values * values
         if not np.isfinite(squares).all():
             raise ValueError(f"column {col!r} holds a non-finite value or one whose square overflows")
-    return Table(str(name), keys, arrays)
+    table = Table(str(name), keys, arrays)
+    if any(np.any((np.abs(values) < _TINY_VALUE) & (values != 0.0)) for values in arrays.values()):
+        table_row_arrays(table)  # raises, naming the column, on a row it cannot sketch
+    return table
 
 
 def _hit_payload(hit: Any) -> dict[str, Any]:

@@ -13,6 +13,7 @@ parsed tables; at most one chunk's worth of files is in memory.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,9 @@ def load_csv_table(
     """Read one CSV file into a :class:`Table`.
 
     The table name defaults to the file stem; the key column to the
-    first header field.  All non-key columns are parsed as floats.
+    first header field.  All non-key columns are parsed as floats; a
+    cell that is not a finite number (``nan``, ``inf``) is rejected
+    with its file, line and column.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
@@ -58,12 +61,18 @@ def load_csv_table(
             for field in value_fields:
                 raw = (row[field] or "").strip()
                 try:
-                    columns[field].append(float(raw) if raw else 0.0)
+                    value = float(raw) if raw else 0.0
                 except ValueError as exc:
                     raise ValueError(
                         f"{path}:{line}: column {field!r} is not numeric "
                         f"(got {row[field]!r})"
                     ) from exc
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}:{line}: column {field!r} is not finite "
+                        f"(got {row[field]!r})"
+                    )
+                columns[field].append(value)
     return Table.aggregated(
         name=name if name is not None else path.stem,
         keys=keys,

@@ -113,9 +113,10 @@ class TestCacheEquivalence:
 
 
 def column_dict(cache: MinimaCache, key: tuple) -> dict:
+    """The block's columns by occupancy."""
     entry = cache._entries[key]
-    assert isinstance(entry, dict)
-    return entry
+    assert isinstance(entry, wmh._BlockColumns)
+    return {k: entry.columns[row] for k, row in entry.rows.items()}
 
 
 class TestCacheMechanics:
@@ -210,15 +211,20 @@ class TestCacheMechanics:
 class TestCacheMemoryBound:
     def test_column_entries_own_their_buffers(self):
         cache = MinimaCache(1 << 20)
-        block = np.arange(64.0).reshape(16, 4)
-        cache.add_columns((0,), list(range(16)), block)
-        entry = column_dict(cache, (0,))[3]
-        # Entries must not alias the bulk-insert buffer (a surviving
-        # view would pin the whole batch allocation past eviction,
-        # breaking the max_bytes bound).
-        assert entry.base is None
-        block[3] = -1.0
-        np.testing.assert_array_equal(entry, [12.0, 13.0, 14.0, 15.0])
+        batch = np.arange(128.0).reshape(32, 4)
+        cache.add_columns((0,), list(range(8)), batch[8:16])
+        cache.add_columns((0,), list(range(8, 16)), batch[16:24])
+        # A block's columns must not alias the caller's buffer (a
+        # surviving view would pin the whole batch allocation past
+        # eviction, breaking the max_bytes bound), when it is new or
+        # when it grows.
+        columns = cache.entry((0,)).columns
+        assert columns.base is None
+        assert not np.shares_memory(columns, batch)
+        batch[:] = -1.0
+        np.testing.assert_array_equal(column_dict(cache, (0,))[3], [44.0, 45.0, 46.0, 47.0])
+        np.testing.assert_array_equal(column_dict(cache, (0,))[11], [76.0, 77.0, 78.0, 79.0])
+        assert cache.nbytes == columns.nbytes == 16 * 4 * 8
 
 
 def resolve(sketcher: WeightedMinHash, block: int, counts) -> np.ndarray:
@@ -302,7 +308,7 @@ class TestRecordStreams:
             kinds = {type(entry) for entry in cache._entries.values()}
             assert cache.nbytes <= budget
             assert cache.nbytes == sum(map(wmh._entry_nbytes, cache._entries.values()))
-        assert kinds == {dict, wmh._BlockStream}
+        assert kinds == {wmh._BlockColumns, wmh._BlockStream}
         assert cache.evictions > 0
 
 

@@ -1,7 +1,12 @@
-"""Streamed batch kernel: chunk boundaries, ties and a bounded working set."""
+"""Streamed batch kernel: chunk boundaries, ties, a bounded working set,
+and the miss simulation split across threads."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +14,9 @@ import pytest
 
 from repro.core import wmh
 from repro.core.wmh import WeightedMinHash
+from repro.datasearch.table import Table
+from repro.parallel.streaming import NO_CLAMP_ENV, shutdown_pools
+from repro.store import LakeStore
 from repro.vectors.sparse import SparseMatrix, SparseVector
 
 
@@ -141,3 +149,161 @@ def test_working_set_grows_with_the_bank_not_the_pairs(monkeypatch):
     index_bytes = 256 * 3 * rows * nnz
     slack = 256 * 1024
     assert large - small <= bank_bytes + index_bytes + slack, (small, large)
+
+
+# ----------------------------------------------------------------------
+# the miss simulation split across threads
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["one_thread", "two_parts", "three_parts"])
+def kernel_threads(request, monkeypatch):
+    """The kernel's thread count, with every chunk of two or more
+    cells split (the floor patched down)."""
+    monkeypatch.setattr(wmh, "_KERNEL_THREADS", request.param)
+    monkeypatch.setattr(wmh, "_MIN_PART_CELLS", 1)
+    return request.param
+
+
+def bank_bits(bank) -> dict[str, np.ndarray]:
+    return {name: column.view(np.uint64).copy() for name, column in bank.columns.items()}
+
+
+class TestSplitKernel:
+    @pytest.mark.parametrize(
+        "simulators",
+        [None, (constant_minima, constant_records), (patterned_minima, patterned_records)],
+        ids=["real", "constant", "patterned"],
+    )
+    def test_split_matches_one_thread_and_scalar(self, monkeypatch, kernel_threads, simulators):
+        monkeypatch.setattr(wmh, "_SIM_CELL_TARGET", 8 * 4)  # 8 blocks a chunk at m = 4
+        if simulators is not None:
+            monkeypatch.setattr(wmh, "simulate_block_minima_grouped", simulators[0])
+            monkeypatch.setattr(wmh, "simulate_block_records", simulators[1])
+        grouped = wmh.simulate_block_minima_grouped
+        calls = []
+        monkeypatch.setattr(
+            wmh,
+            "simulate_block_minima_grouped",
+            lambda *args: calls.append(threading.current_thread().name) or grouped(*args),
+        )
+        corpus = tie_corpus()
+        with monkeypatch.context() as one_thread:
+            one_thread.setattr(wmh, "_KERNEL_THREADS", 1)
+            reference = WeightedMinHash(m=4, seed=5, L=1 << 12, cache_bytes=0)
+            scalar = [reference.sketch(v) for v in corpus]
+            del calls[:]
+            expected = bank_bits(reference.sketch_batch(SparseMatrix.from_rows(corpus)))
+        unsplit = len(calls)
+        for name in ("hashes", "values"):
+            column = np.array([getattr(sketch, name) for sketch in scalar])
+            np.testing.assert_array_equal(column.view(np.uint64), expected[name])
+        for cache_bytes in (0, 1 << 20):
+            sketcher = WeightedMinHash(m=4, seed=5, L=1 << 12, cache_bytes=cache_bytes)
+            for _ in range(2):  # cold, then warm when cached
+                del calls[:]
+                got = bank_bits(sketcher.sketch_batch(SparseMatrix.from_rows(corpus)))
+                for name in expected:
+                    np.testing.assert_array_equal(got[name], expected[name])
+            if cache_bytes == 0:
+                # Every chunk of the uncached run split in parts.
+                assert len(calls) > unsplit if kernel_threads > 1 else len(calls) == unsplit
+
+    def test_split_keeps_the_cache_gets_and_puts(self, monkeypatch, kernel_threads):
+        monkeypatch.setattr(wmh, "_SIM_CELL_TARGET", 8)  # m = 4
+        TestChunkBoundariesAndTies().test_cache_sees_the_same_gets_and_puts(monkeypatch)
+
+    def test_a_helper_thread_simulates_a_part_at_idle_priority(self, monkeypatch):
+        monkeypatch.setattr(wmh, "_KERNEL_THREADS", 2)
+        monkeypatch.setattr(wmh, "_MIN_PART_CELLS", 1)
+        real = wmh.simulate_block_minima_grouped
+        caller = threading.get_ident()
+        helper_ran = threading.Event()
+        seen = {}
+
+        def spy(*args):
+            if threading.get_ident() == caller:
+                # The helper holds the other part: the caller cannot
+                # take it back once it has started.
+                assert helper_ran.wait(60)
+            else:
+                seen["thread"] = threading.current_thread().name
+                if sys.platform.startswith("linux"):  # a thread id is a pid there
+                    seen["nice"] = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+                helper_ran.set()
+            return real(*args)
+
+        monkeypatch.setattr(wmh, "simulate_block_minima_grouped", spy)
+        blocks = np.arange(6, dtype=np.int64)
+        indptr = np.array([0, 1, 3, 4, 6, 7, 8])
+        counts = np.array([5, 1, 90, 7, 2, 40, 1, 3000])
+        got = wmh._simulate_split(3, 8, blocks, indptr, counts)
+        assert got.flags.c_contiguous and got.shape == (8, 8)
+        np.testing.assert_array_equal(
+            got.view(np.uint64), real(3, 8, blocks, indptr, counts).T.copy().view(np.uint64)
+        )
+        assert seen["thread"].startswith("wmh-kernel")
+        assert seen.get("nice", 19) == 19
+
+
+def _sketch_in_child(sketcher, matrix, send) -> None:
+    fresh = wmh._helper is None
+    hashes = sketcher.sketch_batch(matrix).columns["hashes"]
+    alive = wmh._helper is not None and any(t.is_alive() for t in wmh._helper._threads)
+    send.send((fresh, alive, hashes))
+
+
+def lake_tables() -> list[Table]:
+    rng = np.random.default_rng(9)
+    tables = []
+    for i in range(6):
+        keys = [f"k{j}" for j in rng.choice(300, 90, replace=False)]
+        tables.append(Table(f"t{i}", keys, {"v": rng.normal(size=90)}))
+    return tables
+
+
+def store_bytes(path) -> dict[str, bytes]:
+    return {
+        entry.name: entry.read_bytes() for entry in sorted(path.iterdir()) if entry.name != ".lock"
+    }
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestFork:
+    @pytest.fixture(autouse=True)
+    def _split(self, monkeypatch):
+        monkeypatch.setattr(wmh, "_KERNEL_THREADS", 2)
+        monkeypatch.setattr(wmh, "_MIN_PART_CELLS", 1)
+
+    def test_forked_child_starts_its_own_helper(self):
+        sketcher = WeightedMinHash(m=8, seed=2, L=1 << 12, cache_bytes=0)
+        matrix = SparseMatrix.from_rows(tie_corpus())
+        expected = sketcher.sketch_batch(matrix).columns["hashes"]
+        assert wmh._helper is not None
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_sketch_in_child, args=(sketcher, matrix, send))
+        child.start()
+        try:
+            assert receive.poll(120), "the forked child's kernel did not answer"
+            fresh, alive, hashes = receive.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.terminate()
+        assert fresh and alive
+        np.testing.assert_array_equal(hashes.view(np.uint64), expected.view(np.uint64))
+
+    def test_pooled_append_after_a_threaded_sketch_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(NO_CLAMP_ENV, "1")
+        tables = lake_tables()
+        sketcher = WeightedMinHash(m=16, seed=4, L=1 << 14)
+        sketcher.sketch_batch(SparseMatrix.from_rows(tie_corpus()))
+        assert wmh._helper is not None
+        shutdown_pools()  # the pool below forks beside the helper
+        fingerprints = []
+        for workers in (None, 2):
+            with LakeStore.create(tmp_path / f"lake{workers}", sketcher) as store:
+                store.append(tables, workers=workers, chunk_bytes=1)
+            fingerprints.append(store_bytes(tmp_path / f"lake{workers}"))
+        assert fingerprints[0] == fingerprints[1]

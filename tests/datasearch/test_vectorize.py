@@ -111,3 +111,42 @@ class TestEncodings:
             squared_value_vector(table, "v")
         with pytest.raises(ValueError, match="finite"):
             table_row_arrays(table)
+
+    @pytest.mark.parametrize(
+        "scale, row",
+        [(1e-200, "column 'v'"), (1e-100, "column 'v' \\(squared\\)")],
+    )
+    def test_row_whose_norm_underflows_is_rejected_by_column(self, scale, row):
+        # 1e-200: the value row's squares underflow; 1e-100: the
+        # squared row's.  Either norm is 0, which no sketch can scale.
+        columns = {"ok": [1.0, 2.0, 3.0], "v": [scale, 2 * scale, 3 * scale]}
+        table = Table("t", keys=[1, 2, 3], columns=columns)
+        with pytest.raises(ValueError, match=f"{row}: values too small"):
+            table_row_arrays(table)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e-75, 2e-75, 3e-75],  # the smallest scale whose rows all sketch
+            [1e-200, 1.0, 0.0],  # one tiny entry beside a normal one
+            [1e-300, -1e-300, 5.0],  # a pair that cancels
+        ],
+    )
+    def test_rows_near_the_limit_still_encode_and_sketch(self, values):
+        from repro.core.wmh import WeightedMinHash
+        from repro.datasearch.vectorize import table_vectors
+
+        table = Table("t", keys=[1, 2, 3], columns={"v": values})
+        fused = table_row_arrays(table)
+        per_row = [
+            indicator_vector(table),
+            value_vector(table, "v"),
+            squared_value_vector(table, "v"),
+        ]
+        for (indices, row), vector in zip(fused, per_row):
+            np.testing.assert_array_equal(indices, vector.indices)
+            np.testing.assert_array_equal(row.view(np.uint64), vector.values.view(np.uint64))
+        sketcher = WeightedMinHash(m=16, seed=1, L=1 << 16, cache_bytes=0)
+        bank = sketcher.sketch_batch(table_vectors(table))
+        for i, vector in enumerate(per_row):
+            np.testing.assert_array_equal(bank.columns["hashes"][i], sketcher.sketch(vector).hashes)

@@ -154,6 +154,11 @@ class TestVectorizedHashing:
             np.testing.assert_array_equal(matrix.indices[lo:hi], vec.indices)
             np.testing.assert_array_equal(matrix.values[lo:hi], vec.values)
 
+    def test_chunk_matrix_names_the_table_it_cannot_encode(self):
+        bad = Table("tiny", ["a", "b"], {"v": [1e-200, 2e-200]})
+        with pytest.raises(ValueError, match="table 'tiny': column 'v': values too small"):
+            chunk_matrix([*make_tables(2), bad])
+
 
 # ----------------------------------------------------------------------
 # the chunk planner

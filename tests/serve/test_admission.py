@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.serve.admission import (
     AdmissionQueue,
     MicroBatcher,
@@ -133,6 +135,59 @@ class TestExecution:
                 assert [(h.table_name, h.score) for h in request.hits] == [
                     (h.table_name, h.score) for h in expected
                 ]
+
+    @pytest.mark.parametrize(
+        "error, typed",
+        [
+            (ValueError("bad table"), (400, "bad_request")),
+            (RuntimeError("boom"), (500, "internal")),
+        ],
+    )
+    def test_a_failing_request_fails_alone(self, tmp_path, monkeypatch, error, typed):
+        """A session that raises for one table: the group's other
+        requests get their direct-session answers."""
+        with LakeStore.open(make_store(tmp_path / "lake")) as store:
+            snapshot = FakeSnapshot(store)
+            session = snapshot.session
+            real = session.search_many
+            bad = make_query(seed=2)
+
+            def search_many(tables, columns, **kw):
+                if any(table is bad for table in tables):
+                    raise error
+                return real(tables, columns, **kw)
+
+            monkeypatch.setattr(session, "search_many", search_many)
+            batcher = MicroBatcher(AdmissionQueue(), snapshot_source=lambda: snapshot)
+            requests = [
+                make_request(table=table, top_k=5)
+                for table in (make_query(seed=1), bad, make_query(seed=3))
+            ]
+            counted = []
+            monkeypatch.setattr(obs, "count", lambda name, amount=1: counted.append(name))
+            batcher._execute(list(requests))
+            assert requests[1].error[:2] == typed
+            assert str(error) in requests[1].error[2]
+            assert counted.count("serve.errors") == 1
+            for request in (requests[0], requests[2]):
+                (expected,) = real([request.table], "signal", top_k=5)
+                assert request.error is None
+                assert [(h.table_name, h.score) for h in request.hits] == [
+                    (h.table_name, h.score) for h in expected
+                ]
+
+    def test_tiny_table_beside_good_ones_is_400(self, tmp_path):
+        with LakeStore.open(make_store(tmp_path / "lake")) as store:
+            snapshot = FakeSnapshot(store)
+            batcher = MicroBatcher(AdmissionQueue(), snapshot_source=lambda: snapshot)
+            tiny = make_query(seed=2)
+            tiny.columns["signal"] = np.abs(tiny.columns["signal"]) * 1e-200 + 1e-200
+            requests = [make_request(table=t) for t in (make_query(seed=1), tiny)]
+            batcher._execute(list(requests))
+            assert requests[1].error[:2] == (400, "bad_request")
+            assert "too small" in requests[1].error[2]
+            (expected,) = snapshot.session.search_many([requests[0].table], "signal")
+            assert [h.table_name for h in requests[0].hits] == [h.table_name for h in expected]
 
     def test_snapshot_failure_is_typed_503(self):
         def boom():

@@ -28,6 +28,54 @@ def direct_hits(store_dir, query, column="signal", top_k=10, **kw):
         return session.search(query, column, top_k=top_k)
 
 
+def assert_good_beside_bad(serve_store, server, bad: dict) -> None:
+    """Send ``bad`` beside a good query, so both would share one drained
+    batch if both were admitted: the bad one gets 400, the good one its
+    direct-session answer."""
+    client = ServeClient(server.url, max_attempts=1)
+    outcomes: dict[str, object] = {}
+
+    def send(name, fn):
+        try:
+            outcomes[name] = fn()
+        except ServeError as exc:
+            outcomes[name] = exc
+
+    # The first query holds the batcher, so the next two would
+    # share one drained batch if both were admitted.
+    with faults.failpoints("serve.batch=sleep:0.3"):
+        threads = [
+            threading.Thread(
+                target=send,
+                args=("hold", lambda: client.query(make_query(seed=1), "signal")),
+            )
+        ]
+        threads[0].start()
+        time.sleep(0.1)
+        threads += [
+            threading.Thread(
+                target=send,
+                args=("good", lambda: client.query(make_query(), "signal")),
+            ),
+            threading.Thread(
+                target=send,
+                args=(
+                    "bad",
+                    lambda: client._request(
+                        "POST", "/query", {"table": bad, "column": "signal"}
+                    ),
+                ),
+            ),
+        ]
+        for t in threads[1:]:
+            t.start()
+        for t in threads:
+            t.join()
+    assert outcomes["bad"][0] == 400
+    expected = hit_tuples(direct_hits(serve_store, make_query()))
+    assert list(hits_fingerprint(outcomes["good"]["hits"])) == expected
+
+
 class TestQueries:
     def test_served_result_is_bit_identical_to_direct(self, serve_store, server):
         query = make_query()
@@ -138,50 +186,28 @@ class TestTypedFailures:
         assert data["error"] == "bad_request"
 
     def test_good_query_beside_a_nan_query_succeeds(self, serve_store, server):
-        client = ServeClient(server.url, max_attempts=1)
         bad = table_payload(make_query(seed=7))
         bad["columns"]["signal"][0] = float("nan")
-        outcomes: dict[str, object] = {}
+        assert_good_beside_bad(serve_store, server, bad)
 
-        def send(name, fn):
-            try:
-                outcomes[name] = fn()
-            except ServeError as exc:
-                outcomes[name] = exc
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100])
+    def test_tiny_column_is_400(self, server, scale):
+        # 1e-200: the value row's norm underflows to 0; 1e-100: the
+        # squared row's.  Neither can be sketched.
+        bad = table_payload(make_query(seed=7))
+        bad["columns"]["signal"] = [scale * (1 + i % 5) for i in range(len(bad["keys"]))]
+        status, data = ServeClient(server.url)._request(
+            "POST", "/query", {"table": bad, "column": "signal"}
+        )
+        assert status == 400
+        assert data["error"] == "bad_request"
+        assert "'signal'" in data["message"] and "too small" in data["message"]
 
-        # The first query holds the batcher, so the next two would
-        # share one drained batch if both were admitted.
-        with faults.failpoints("serve.batch=sleep:0.3"):
-            threads = [
-                threading.Thread(
-                    target=send,
-                    args=("hold", lambda: client.query(make_query(seed=1), "signal")),
-                )
-            ]
-            threads[0].start()
-            time.sleep(0.1)
-            threads += [
-                threading.Thread(
-                    target=send,
-                    args=("good", lambda: client.query(make_query(), "signal")),
-                ),
-                threading.Thread(
-                    target=send,
-                    args=(
-                        "bad",
-                        lambda: client._request(
-                            "POST", "/query", {"table": bad, "column": "signal"}
-                        ),
-                    ),
-                ),
-            ]
-            for t in threads[1:]:
-                t.start()
-            for t in threads:
-                t.join()
-        assert outcomes["bad"][0] == 400
-        expected = hit_tuples(direct_hits(serve_store, make_query()))
-        assert list(hits_fingerprint(outcomes["good"]["hits"])) == expected
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100])
+    def test_good_query_beside_a_tiny_query_succeeds(self, serve_store, server, scale):
+        bad = table_payload(make_query(seed=7))
+        bad["columns"]["signal"] = [scale * (1 + i % 5) for i in range(len(bad["keys"]))]
+        assert_good_beside_bad(serve_store, server, bad)
 
     def test_deadline_expiry_is_typed_504(self, server):
         # Stall the batcher long enough that a 100ms deadline must pass.

@@ -12,6 +12,7 @@ from repro.core.wmh import WeightedMinHash
 from repro.datasearch.table import Table
 from repro.store import LakeStore, QuerySession
 from repro.store.cli import load_csv_table, main
+from repro.store.csvio import csv_source
 
 
 def make_tables(count: int = 3, seed: int = 0, rows: int = 100) -> list[Table]:
@@ -212,6 +213,18 @@ class TestLoadCsvTable:
         with pytest.raises(ValueError, match="not numeric"):
             load_csv_table(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_rejected_where_it_is(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"key,x,y\na,1,2\nb,3,{cell}\n")
+        message = rf"t\.csv:3: column 'y' is not finite \(got '{cell}'\)"
+        with pytest.raises(ValueError, match=message):
+            load_csv_table(path)
+        with LakeStore.create(tmp_path / "lake", WeightedMinHash(m=8, seed=1)) as store:
+            with pytest.raises(ValueError, match=r"t\.csv:3: column 'y' is not finite"):
+                store.append_sources([csv_source(path)])
+            assert store.stats()["tables"] == 0
+
     def test_missing_key_column(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["a"], {"x": [1.0]})
@@ -257,6 +270,13 @@ class TestCli:
 
         assert main(["compact", str(lake)]) == 0
         assert "compacted 2 shard(s) -> 1" in capsys.readouterr().out
+
+    def test_ingest_names_a_non_finite_cell(self, csv_lake, tmp_path, capsys):
+        lake, tables, _ = csv_lake
+        bad = tmp_path / "bad.csv"
+        bad.write_text("key,demand\nk1,1.5\nk2,nan\n")
+        assert main(["ingest", str(lake), str(tables[0]), str(bad)]) == 1
+        assert "bad.csv:3: column 'demand' is not finite" in capsys.readouterr().err
 
     def test_query_human_output(self, csv_lake, capsys):
         lake, tables, query = csv_lake
