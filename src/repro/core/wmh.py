@@ -547,12 +547,13 @@ def simulate_block_minima_grouped(
     stream therefore only needs simulating **once per block**, to the
     block's largest requested occupancy.
 
-    The simulation and the query answering are **fused**: each block's
-    query occupancies are visited in ascending order by a per-cell
-    cursor, and the moment a record advance passes an occupancy ``k``
-    the current ``z`` — the last record at position ``<= k`` — is
-    written straight into the output.  No record log, no sort, no
-    binary search, and no allocation proportional to the record count.
+    The simulation and the query answering are **fused**: each cell
+    keeps one cursor, the output slot of its block's next unanswered
+    occupancy ``k`` (visited in ascending order), and the moment a
+    record advance passes ``k`` the current ``z`` — the last record at
+    position ``<= k`` — is written straight into that slot.  No record
+    log, no sort, no binary search, and no allocation proportional to
+    the record count.
 
     Parameters
     ----------
@@ -600,20 +601,21 @@ def simulate_block_minima_grouped(
 
     # Active-cell state, compacted as cells retire.  Record 0 is the
     # hash of slot 1; every block has k >= 1 so it is always accepted.
-    # Each cell walks its block's ascending query occupancies with a
-    # cursor (act_qptr .. qend); query q of repetition r is written at
-    # q * m + r.
-    limits = query_counts[query_indptr[1:] - 1].astype(np.float64)  # k_max per block
+    # A cell's one cursor is act_slot, the output slot q * m + r of its
+    # block's next unanswered query q, and act_thr, that query's
+    # occupancy; next_thresholds[q] is the next query's, +inf after a
+    # block's last.
     thresholds = query_counts.astype(np.float64)
+    next_thresholds = np.empty(num_queries)
+    next_thresholds[:-1] = thresholds[1:]
+    next_thresholds[query_indptr[1:] - 1] = np.inf
+    first = query_indptr[:-1]
     act_keys = keys
     act_z = counter_uniform(keys, 0)
     act_pos = np.ones(num_cells, dtype=np.float64)
-    act_limit = np.broadcast_to(limits, (m, num_blocks)).ravel()
-    act_qptr = np.tile(query_indptr[:-1], m)
-    act_qend = np.tile(query_indptr[1:], m)
-    act_base = np.repeat(np.arange(m, dtype=np.int64), num_blocks)
+    act_slot = (first * m + np.arange(m, dtype=np.int64)[:, None]).ravel()
+    act_thr = np.tile(thresholds[first], m)
     out = np.empty(num_queries * m)
-    last_query = num_queries - 1
 
     counter = 1
     rounds = 0
@@ -632,25 +634,21 @@ def simulate_block_minima_grouped(
             next_pos = act_pos + skip
             # Answer every query this advance passes: the current z is
             # the last record at position <= k exactly when the next
-            # record lands beyond k.  Retiring cells (next_pos beyond
-            # their largest occupancy) drain their remaining cursor
-            # here, so every query is written exactly once.
-            # Active cells always hold an unanswered query (a drained
-            # cursor implies the record passed k_max, which retires the
-            # cell below), so act_qptr is in range.
-            ready = np.flatnonzero(thresholds[act_qptr] < next_pos)
+            # record lands beyond k.  Each query is written once; a
+            # cell whose advance passes its largest occupancy is left
+            # at act_thr = +inf.
+            ready = np.flatnonzero(act_thr < next_pos)
             while ready.size:
-                cursor = act_qptr[ready]
-                out[act_base[ready] + cursor * m] = act_z[ready]
-                cursor += 1
-                act_qptr[ready] = cursor
-                more = (cursor < act_qend[ready]) & (
-                    thresholds[np.minimum(cursor, last_query)] < next_pos[ready]
-                )
-                ready = ready[more]
+                slot = act_slot[ready]
+                out[slot] = act_z[ready]
+                nt = next_thresholds[slot // m]
+                act_slot[ready] = slot + m
+                act_thr[ready] = nt
+                ready = ready[nt < next_pos[ready]]
             # One flatnonzero feeds every compaction below (a boolean
-            # mask would re-scan itself once per indexed array).
-            keep = np.flatnonzero(next_pos <= act_limit)
+            # mask would re-scan itself once per indexed array).  A
+            # cell with a query left has its advance accepted.
+            keep = np.flatnonzero(act_thr != np.inf)
 
             act_keys = act_keys.take(keep)
             # The value draw is consumed only by accepted cells (pure
@@ -659,10 +657,8 @@ def simulate_block_minima_grouped(
             u_value = _splitmix_uniform(act_keys + np.uint64(counter) * golden + golden)
             act_z = act_z.take(keep) * u_value
             act_pos = next_pos.take(keep)
-            act_limit = act_limit.take(keep)
-            act_qptr = act_qptr.take(keep)
-            act_qend = act_qend.take(keep)
-            act_base = act_base.take(keep)
+            act_slot = act_slot.take(keep)
+            act_thr = act_thr.take(keep)
             counter += 2
 
     return out.reshape(num_queries, m).T

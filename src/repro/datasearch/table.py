@@ -131,13 +131,25 @@ class Table:
 
         This is the many-to-many → one-to-one reduction (paper,
         footnote 3): dataset-search systems aggregate repeated keys so
-        joins become one-to-one.
+        joins become one-to-one.  Keys that are already unique skip the
+        per-key reduction: every aggregator but ``count`` reduces one
+        value to itself.
         """
         if how not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {how!r}; choose from {sorted(AGGREGATORS)}")
         reduce_fn = AGGREGATORS[how]
         key_list = list(keys)
-        column_arrays = {c: np.asarray(v, dtype=np.float64) for c, v in columns.items()}
+        column_arrays = {c: np.array(v, dtype=np.float64) for c, v in columns.items()}
+        for column_name, values in column_arrays.items():
+            if values.shape != (len(key_list),):
+                raise ValueError(
+                    f"column {column_name!r} must align with the {len(key_list)} keys"
+                )
+        if how != "count" and len(set(key_list)) == len(key_list):
+            if how in ("sum", "mean"):
+                for values in column_arrays.values():
+                    values += 0.0  # a one-value sum is the value, but -0.0 sums to +0.0
+            return cls(name=name, keys=key_list, columns=column_arrays)
         order: dict = {}
         for position, key in enumerate(key_list):
             order.setdefault(key, []).append(position)

@@ -151,10 +151,14 @@ def table_row_arrays(
     ``inverse``), so each pair is bit-identical to the corresponding
     per-row encoder above, and a non-finite row value (a NaN, or a
     square that overflows) raises the same ``ValueError``.  So does a
-    row with non-zero entries whose norm underflows to zero, naming
-    its column: values all below about ``1e-162`` (the value row) or
-    ``1e-81`` (the squared row).  No sketch that scales by the norm
-    can represent such a row; WMH's rounding rejects it.
+    row with non-zero entries whose norm underflows to zero, or
+    overflows to infinity, naming its column: values all below about
+    ``1e-162`` (the value row) or ``1e-81`` (the squared row), or any
+    above about ``1e154 / n^(1/2)`` (the value row) or
+    ``1e77 / n^(1/4)`` (the squared row) for ``n`` rows.  No sketch
+    that scales by the norm can represent such a row; WMH's rounding
+    rejects the first kind and would store an infinite norm for the
+    second.
     """
     indices = keys_to_indices(table.keys, domain)
     unique, inverse = np.unique(indices, return_inverse=True)
@@ -165,18 +169,23 @@ def table_row_arrays(
         stacked += [table.column(column) ** 2 for column in columns]
     labels = ["keys"] + [f"column {c!r}" for c in columns]
     labels += [f"column {c!r} (squared)" for c in columns]
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    for label, values in zip(labels, stacked):
+    sums: list[np.ndarray] = []
+    for values in stacked:  # every row's values are checked before any norm
         summed = np.zeros(unique.size)
         np.add.at(summed, inverse, values)
         if not np.isfinite(summed).all():
             raise ValueError("values must be finite")
+        sums.append(summed)
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    for label, summed in zip(labels, sums):
         keep = summed != 0.0
         row = summed[keep]
-        with np.errstate(over="ignore"):  # an infinite norm is not this check's
-            underflows = row.size and np.linalg.norm(row) == 0.0
-        if underflows:
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = np.linalg.norm(row)
+        if row.size and norm == 0.0:
             raise ValueError(f"{label}: values too small to sketch (the row's norm underflows)")
+        if norm == np.inf:
+            raise ValueError(f"{label}: values too large to sketch (the row's norm overflows)")
         rows.append((unique[keep], row))
     return rows
 

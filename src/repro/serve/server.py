@@ -59,6 +59,12 @@ MAX_DEADLINE_MS = 120_000.0
 #: far from underflow.
 _TINY_VALUE = 1e-70
 
+#: Above this magnitude a value may leave an encoded row whose norm
+#: overflows to infinity (its squared row's, from about 1e77 / n^(1/4)
+#: for n rows); a table holding one is checked by the encoder too.
+#: Below it, the squared row's norm overflows only past 1e28 rows.
+_HUGE_VALUE = 1e70
+
 
 @dataclass
 class ServerConfig:
@@ -99,7 +105,10 @@ def _parse_table(data: Any) -> Table:
         if not np.isfinite(squares).all():
             raise ValueError(f"column {col!r} holds a non-finite value or one whose square overflows")
     table = Table(str(name), keys, arrays)
-    if any(np.any((np.abs(values) < _TINY_VALUE) & (values != 0.0)) for values in arrays.values()):
+    if any(
+        np.any(((magnitude < _TINY_VALUE) & (magnitude != 0.0)) | (magnitude > _HUGE_VALUE))
+        for magnitude in map(np.abs, arrays.values())
+    ):
         table_row_arrays(table)  # raises, naming the column, on a row it cannot sketch
     return table
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rounding import round_vector
 from repro.core.wmh import DEFAULT_L, WeightedMinHash, simulate_block_minima
@@ -243,6 +247,79 @@ class TestGroupedSimulation:
             0, 4, np.array([3, 7]), np.array([0, 1, 2]), np.array([9, 5])
         )
         assert result.shape == (4, 2)
+
+    def test_tiny_max_rounds_raises(self):
+        from repro.core.wmh import simulate_block_minima_grouped
+
+        # ~18 records per stream at k = 2**26: two rounds cannot finish.
+        with pytest.raises(RuntimeError, match="did not converge"):
+            simulate_block_minima_grouped(
+                0, 4, np.array([3]), np.array([0, 1]), np.array([1 << 26]), max_rounds=2
+            )
+
+
+@st.composite
+def grouped_queries(draw):
+    """``(seed, m, block_ids, query_indptr, query_counts)`` for the
+    grouped simulator: blocks with one query or about a break-even's
+    worth, each sorted, with duplicates, ``k = 1``, ``k = L``, and
+    counts on and beside the block's real record positions."""
+    from repro.core.wmh import _break_even_columns, simulate_block_records
+
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.sampled_from([1, 3, 8]))
+    L = draw(st.sampled_from([1, 5, 1 << 12, 1 << 26]))
+    block_ids = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))
+    sizes = [1, math.ceil(_break_even_columns(m, L))]
+    indptr, counts = [0], []
+    for block in block_ids:
+        _, positions, _ = simulate_block_records(seed, m, np.array([block]), np.array([L]))
+        records = sorted({int(p) for p in positions})
+        boundary = [k for p in records for k in (p - 1, p, p + 1) if 1 <= k <= L]
+        pool = st.one_of(
+            st.sampled_from([1, L]), st.sampled_from(boundary), st.integers(1, L)
+        )
+        size = draw(st.sampled_from(sizes))
+        block_counts = sorted(draw(st.lists(pool, min_size=size, max_size=size)))
+        counts += block_counts
+        indptr.append(len(counts))
+    return seed, m, np.array(block_ids), np.array(indptr), np.array(counts)
+
+
+class TestGroupedSimulationProperties:
+    """Every column of the fused simulator, unsplit and split across
+    threads, equals the record simulator's last record at ``<= k``."""
+
+    @staticmethod
+    def reference(seed, m, block_ids, query_indptr, query_counts) -> np.ndarray:
+        blocks = np.repeat(block_ids, np.diff(query_indptr))
+        return simulate_block_minima(seed, m, blocks, query_counts)
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=grouped_queries())
+    def test_matches_the_record_simulator_column_by_column(self, case):
+        from repro.core.wmh import simulate_block_minima_grouped
+
+        expected = self.reference(*case)
+        got = simulate_block_minima_grouped(*case)
+        assert got.shape == expected.shape
+        for q in range(got.shape[1]):
+            np.testing.assert_array_equal(
+                got[:, q].view(np.uint64), expected[:, q].view(np.uint64)
+            )
+
+    @settings(deadline=None, max_examples=30)
+    @given(case=grouped_queries())
+    def test_split_matches_the_record_simulator(self, case):
+        from repro.core import wmh
+
+        expected = self.reference(*case)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wmh, "_KERNEL_THREADS", 2)
+            patch.setattr(wmh, "_MIN_PART_CELLS", 1)
+            got = wmh._simulate_split(*case)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64), expected.T.copy().view(np.uint64))
 
 
 class TestBatchZeroRows:

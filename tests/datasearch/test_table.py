@@ -75,6 +75,46 @@ class TestAggregation:
         table = Table.aggregated("t", keys=[5, 3, 5], columns={"v": [1.0, 2.0, 3.0]})
         assert table.keys == [5, 3]
 
+    @staticmethod
+    def reduced_key_by_key(keys, columns, how):
+        """The per-key reduction, one aggregator call per key and column."""
+        order: dict = {}
+        for position, key in enumerate(keys):
+            order.setdefault(key, []).append(position)
+        return list(order), {
+            name: np.array([AGGREGATORS[how](np.asarray(values)[order[key]]) for key in order])
+            for name, values in columns.items()
+        }
+
+    @pytest.mark.parametrize("how", sorted(AGGREGATORS))
+    @pytest.mark.parametrize(
+        "keys",
+        [["a", "b", "c", "d", "e"], ["a", "b", "a", "c", "b"], [], ["only"]],
+        ids=["unique", "mixed_duplicates", "empty", "one_row"],
+    )
+    def test_equals_the_per_key_reduction_bit_for_bit(self, keys, how):
+        values = [-0.0, 0.0, 2.5, -1e-300, 1e300, 7.0][: len(keys)]
+        columns = {"v": values, "w": values[::-1]}
+        table = Table.aggregated("t", keys=keys, columns=columns, how=how)
+        expected_keys, expected = self.reduced_key_by_key(keys, columns, how)
+        assert table.keys == expected_keys
+        assert table.columns.keys() == expected.keys()
+        for name, column in expected.items():
+            assert table.column(name).dtype == np.float64
+            assert table.column(name).tobytes() == column.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("keys", [[1, 2, 3], [1, 1, 2]], ids=["unique", "duplicates"])
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]], ids=["short", "long"])
+    def test_misaligned_column_is_rejected(self, keys, values):
+        with pytest.raises(ValueError, match="'v' must align with the 3 keys"):
+            Table.aggregated("t", keys=keys, columns={"v": values})
+
+    def test_unique_keys_do_not_alias_the_callers_column(self):
+        values = np.array([1.0, 2.0])
+        table = Table.aggregated("t", keys=[1, 2], columns={"v": values})
+        values[0] = 9.0
+        assert table.column("v").tolist() == [1.0, 2.0]
+
 
 class TestFigure2Join:
     def test_join_keys(self, figure2_tables):

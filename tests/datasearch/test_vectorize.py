@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,12 +126,24 @@ class TestEncodings:
         with pytest.raises(ValueError, match=f"{row}: values too small"):
             table_row_arrays(table)
 
+    @pytest.mark.parametrize("scale", [1e78, 1e153])
+    def test_row_whose_norm_overflows_is_rejected_by_column(self, scale):
+        # Both squares are finite, but the squared row's sum of squares
+        # (its norm squared) overflows from about 1e77 / n^(1/4).
+        columns = {"ok": [1.0, 2.0, 3.0], "v": [scale, 2 * scale, 3 * scale]}
+        table = Table("t", keys=[1, 2, 3], columns=columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a typed error, not an overflow warning
+            with pytest.raises(ValueError, match=r"column 'v' \(squared\): values too large"):
+                table_row_arrays(table)
+
     @pytest.mark.parametrize(
         "values",
         [
             [1e-75, 2e-75, 3e-75],  # the smallest scale whose rows all sketch
             [1e-200, 1.0, 0.0],  # one tiny entry beside a normal one
             [1e-300, -1e-300, 5.0],  # a pair that cancels
+            [1e76, 2e76, 3e76],  # the squared row's norm is still finite
         ],
     )
     def test_rows_near_the_limit_still_encode_and_sketch(self, values):

@@ -10,6 +10,7 @@ import pytest
 from repro import faults
 from repro.serve import QueryServer, ServeClient, ServeError, ServerConfig
 from repro.serve.client import table_payload
+from repro.serve.server import _parse_table
 from repro.store import LakeStore, QuerySession, StoreError
 
 from .conftest import hit_tuples, hits_fingerprint, make_query
@@ -202,6 +203,26 @@ class TestTypedFailures:
         assert status == 400
         assert data["error"] == "bad_request"
         assert "'signal'" in data["message"] and "too small" in data["message"]
+
+    @pytest.mark.parametrize("scale", [1e78, 1e153])
+    def test_huge_column_is_400(self, server, scale):
+        # Every square is finite, but a row's norm overflows to inf.
+        bad = table_payload(make_query(seed=7))
+        bad["columns"]["signal"] = [scale * (1 + i % 5) for i in range(len(bad["keys"]))]
+        with pytest.raises(ValueError, match="'signal'.*too large"):
+            _parse_table(bad)  # so the handler thread answers, not the batcher
+        status, data = ServeClient(server.url)._request(
+            "POST", "/query", {"table": bad, "column": "signal"}
+        )
+        assert status == 400
+        assert data["error"] == "bad_request"
+        assert "'signal'" in data["message"] and "too large" in data["message"]
+
+    def test_large_column_that_sketches_passes_validation(self):
+        good = table_payload(make_query(seed=7))
+        good["keys"] = good["keys"][:3]
+        good["columns"] = {"signal": [1e76, 2e76, 3e76]}
+        assert _parse_table(good).column("signal").tolist() == [1e76, 2e76, 3e76]
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-100])
     def test_good_query_beside_a_tiny_query_succeeds(self, serve_store, server, scale):

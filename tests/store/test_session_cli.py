@@ -225,6 +225,17 @@ class TestLoadCsvTable:
                 store.append_sources([csv_source(path)])
             assert store.stats()["tables"] == 0
 
+    @pytest.mark.parametrize("scale", [1e78, 1e153])
+    def test_column_too_large_to_sketch_is_named_on_ingest(self, tmp_path, scale):
+        # Every square is finite; the squared row's norm overflows.
+        path = tmp_path / "t.csv"
+        path.write_text(f"key,x,y\na,1,{scale}\nb,2,{2 * scale}\nc,3,{3 * scale}\n")
+        message = r"table 't': column 'y' \(squared\): values too large to sketch"
+        with LakeStore.create(tmp_path / "lake", WeightedMinHash(m=8, seed=1)) as store:
+            with pytest.raises(ValueError, match=message):
+                store.append_sources([csv_source(path)])
+            assert store.stats()["tables"] == 0
+
     def test_missing_key_column(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["a"], {"x": [1.0]})
